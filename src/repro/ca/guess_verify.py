@@ -33,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.ca.cascade import CascadingAnalysts, DrillDownTree, TopMResult
+from repro.ca.cascade import CascadingAnalysts, DrillDownTree, TopMBatch, TopMResult
 from repro.exceptions import ExplanationError
 from repro.relation.predicates import Conjunction
 
@@ -43,6 +43,9 @@ DEFAULT_INITIAL_GUESS = 30
 #: When the guessed union covers this fraction of all candidates, fall back
 #: to the full solver — the restriction no longer saves anything.
 _FULL_FALLBACK_FRACTION = 0.8
+
+#: Scores :func:`ranked_prefix` partitions at once (4 MB of float64).
+_RANK_BLOCK_ELEMENTS = 1 << 19
 
 
 class GuessAndVerify:
@@ -91,7 +94,7 @@ class GuessAndVerify:
         """Verified-optimal top-m result for one gamma vector."""
         return self.solve_batch(np.asarray(gamma, dtype=np.float64)[None, :])[0]
 
-    def solve_batch(self, gammas: np.ndarray) -> list[TopMResult]:
+    def solve_batch(self, gammas: np.ndarray) -> TopMBatch:
         """Verified-optimal top-m results for a gamma matrix."""
         gammas = np.asarray(gammas, dtype=np.float64)
         if gammas.ndim != 2 or gammas.shape[1] != len(self._explanations):
@@ -100,55 +103,41 @@ class GuessAndVerify:
                 f"{len(self._explanations)} candidates"
             )
         n_segments, n_candidates = gammas.shape
+        results = TopMBatch.empty(n_segments, self._m)
         if n_segments == 0:
-            return []
-        order = np.argsort(-gammas, axis=1, kind="stable")
-        results: list[TopMResult | None] = [None] * n_segments
-        pending = list(range(n_segments))
+            return results
+        pending = np.arange(n_segments)
         guess = min(self._initial_guess, n_candidates)
-        while pending:
+        while pending.size:
             self.iterations += 1
             if guess >= n_candidates:
                 self._solve_full(gammas, pending, results)
                 break
-            union = np.unique(order[pending, :guess])
+            rows = gammas if pending.size == n_segments else gammas[pending]
+            order = ranked_prefix(rows, guess + self._m)
+            union = np.unique(order[:, :guess])
             if union.shape[0] >= _FULL_FALLBACK_FRACTION * n_candidates:
                 self._solve_full(gammas, pending, results)
                 break
             solver = self._restricted_solver(union)
-            local = solver.solve_batch(gammas[pending][:, union])
-            still_pending: list[int] = []
-            for row, restricted in zip(pending, local):
-                mapped = TopMResult(
-                    indices=tuple(int(union[i]) for i in restricted.indices),
-                    gammas=restricted.gammas,
-                    best=restricted.best,
-                )
-                sorted_gamma = gammas[row, order[row]]
-                if self._verified(mapped, sorted_gamma, guess):
-                    results[row] = mapped
-                else:
-                    still_pending.append(row)
-            pending = still_pending
+            local = solver.solve_batch(rows[:, union])
+            tail = np.take_along_axis(rows, order[:, guess:], axis=1)
+            verified = self._verified(local.best, tail)
+            results.put(pending[verified], local.take(verified), idx_map=union)
+            pending = pending[~verified]
             guess = min(2 * guess, n_candidates)
-        assert all(result is not None for result in results)
-        return results  # type: ignore[return-value]
+        return results
 
     # ------------------------------------------------------------------
     def _solve_full(
-        self,
-        gammas: np.ndarray,
-        pending: list[int],
-        results: list[TopMResult | None],
+        self, gammas: np.ndarray, pending: np.ndarray, results: TopMBatch
     ) -> None:
         """Exact fallback over the complete candidate set."""
         if self._full_solver is None:
             self._full_solver = CascadingAnalysts(
                 DrillDownTree(self._explanations), self._m
             )
-        solved = self._full_solver.solve_batch(gammas[pending])
-        for row, result in zip(pending, solved):
-            results[row] = result
+        results.put(pending, self._full_solver.solve_batch(gammas[pending]))
 
     def _restricted_solver(self, union: np.ndarray) -> CascadingAnalysts:
         key = tuple(int(i) for i in union)
@@ -163,17 +152,52 @@ class GuessAndVerify:
             self._cache.move_to_end(key)
         return solver
 
-    def _verified(
-        self, result: TopMResult, sorted_gamma: np.ndarray, guess: int
-    ) -> bool:
-        """Check the sufficient optimality condition of Eq. 12."""
-        tail = sorted_gamma[guess : guess + self._m]
-        tail_prefix_sums = np.concatenate([[0.0], np.cumsum(tail)])
-        best = result.best
-        best_m = best[self._m]
+    def _verified(self, best: np.ndarray, tail: np.ndarray) -> np.ndarray:
+        """Rows passing the sufficient optimality condition of Eq. 12.
+
+        ``best`` holds each row's ``Best[0..m]`` on the guess and ``tail``
+        the gammas ranked right after the guess (up to ``m`` of them).
+        """
+        tail_prefix_sums = np.concatenate(
+            [np.zeros((tail.shape[0], 1)), np.cumsum(tail, axis=1)], axis=1
+        )
+        best_m = best[:, self._m]
+        slack = 1e-12 * np.maximum(1.0, np.abs(best_m))
+        verified = np.ones(best.shape[0], dtype=bool)
         for m_prime in range(self._m):
-            needed = self._m - m_prime
-            tail_sum = float(tail_prefix_sums[min(needed, tail.shape[0])])
-            if best_m < best[m_prime] + tail_sum - 1e-12 * max(1.0, abs(best_m)):
-                return False
-        return True
+            tail_sum = tail_prefix_sums[:, min(self._m - m_prime, tail.shape[1])]
+            verified &= ~(best_m < best[:, m_prime] + tail_sum - slack)
+        return verified
+
+
+def ranked_prefix(gammas: np.ndarray, count: int) -> np.ndarray:
+    """``np.argsort(-gammas, axis=1, kind="stable")[:, :count]``, without
+    sorting whole rows.
+
+    Each row's ``count`` best candidates (ties by position) are picked
+    around the ``count``-th largest score with a partition, then only those
+    are sorted.
+    """
+    n_rows, n_candidates = gammas.shape
+    if count >= n_candidates:
+        return np.argsort(-gammas, axis=1, kind="stable")
+    block = max(_RANK_BLOCK_ELEMENTS // n_candidates, 1)
+    if n_rows > block:  # bound the partition's copy of the scores
+        return np.concatenate(
+            [ranked_prefix(gammas[lo : lo + block], count) for lo in range(0, n_rows, block)]
+        )
+    kth = n_candidates - count
+    threshold = np.partition(gammas, kth, axis=1)[:, kth, None]
+    chosen = gammas >= threshold
+    crowded = np.flatnonzero(np.count_nonzero(chosen, axis=1) > count)
+    if crowded.size:
+        # Too many ties at the threshold: keep the earliest-positioned.
+        rows = gammas[crowded]
+        above = rows > threshold[crowded]
+        tied = rows == threshold[crowded]
+        room = count - np.count_nonzero(above, axis=1)
+        chosen[crowded] = above | (tied & (np.cumsum(tied, axis=1) <= room[:, None]))
+    picked = np.nonzero(chosen)[1].reshape(n_rows, count)
+    scores = np.take_along_axis(gammas, picked, axis=1)
+    order = np.argsort(-scores, axis=1, kind="stable")
+    return np.take_along_axis(picked, order, axis=1)

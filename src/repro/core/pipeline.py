@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.ca.cascade import CascadingAnalysts, DrillDownTree
+from repro.ca.cascade import CascadingAnalysts, DrillDownTree, candidates_are_flat
 from repro.ca.guess_verify import GuessAndVerify
 from repro.core.config import ExplainConfig
 from repro.core.result import ExplainResult, SegmentExplanation
@@ -261,17 +261,21 @@ class ExplainPipeline:
         defaults to :meth:`prepare`'s result; pass one explicitly to bind
         the solver to a restricted or smoothed cube.  This is the public
         entry point callers (engine, streaming, evaluation) should use.
+
+        Flatness is read off the candidate list, so the guess-and-verify
+        solver never builds the full drill-down DAG unless its guesses
+        fall back to it.
         """
         if scorer is None:
             scorer = self.prepare()
-        tree = DrillDownTree(scorer.cube.explanations)
-        if self._config.use_guess_verify and not tree.is_flat:
+        explanations = scorer.cube.explanations
+        if self._config.use_guess_verify and not candidates_are_flat(explanations):
             return GuessAndVerify(
-                scorer.cube.explanations,
+                explanations,
                 m=self._config.m,
                 initial_guess=max(self._config.initial_guess, self._config.m),
             )
-        return CascadingAnalysts(tree, m=self._config.m)
+        return CascadingAnalysts(DrillDownTree(explanations), m=self._config.m)
 
     # Backwards-compatible alias for the pre-1.1 private name.
     _build_solver = solver
@@ -332,7 +336,9 @@ class ExplainPipeline:
         timings["segmentation"] += time.perf_counter() - dp_started
 
         with span("finalize"):
-            result = self._assemble(scorer, costs, scheme, k_was_auto, by_k, timings)
+            result = self._assemble(
+                scorer, costs, scheme, k_was_auto, by_k, timings, solver=solver
+            )
         return result
 
     # ------------------------------------------------------------------
@@ -345,6 +351,7 @@ class ExplainPipeline:
         by_k: dict[int, SegmentationScheme],
         timings: dict[str, float],
         trust_costs: bool = False,
+        solver=None,
     ) -> ExplainResult:
         series = scorer.cube.overall_series()
         # When the scheme was found on a sketch, re-evaluate its variance at
@@ -353,6 +360,7 @@ class ExplainPipeline:
         # re-evaluation: a restricted *cut grid* (the streaming schedule)
         # still measures every segment's variance over full-resolution unit
         # objects, so its cost entries are already the Table 7 numbers.
+        # ``solver`` is the run's own, reused for that re-evaluation.
         full_resolution = trust_costs or costs.n_points == scorer.cube.n_times
         original_boundaries = [int(costs.positions[b]) for b in scheme.boundaries]
         if full_resolution:
@@ -362,7 +370,8 @@ class ExplainPipeline:
             ]
         else:
             evaluation_started = time.perf_counter()
-            solver = self.solver(scorer)
+            if solver is None:
+                solver = self.solver(scorer)
             total_variance, per_segment = scheme_total_variance(
                 scorer,
                 solver,

@@ -191,7 +191,9 @@ class ExplainSession:
         self._cache_hit: bool | None = None
         self._prepare_seconds = 0.0
         self._scorer_cache_size = scorer_cache_size
-        self._scorers: OrderedDict[tuple, SegmentScorer] = OrderedDict()
+        self._scorer_cache_bytes: int | None = None
+        #: key -> (scorer, bytes its derived cube owns)
+        self._scorers: OrderedDict[tuple, tuple[SegmentScorer, int]] = OrderedDict()
         self._last_result: ExplainResult | None = None
         # Sessions are shared across threads by the serving tier
         # (repro.serve): one reentrant lock serializes every mutation of
@@ -601,7 +603,7 @@ class ExplainSession:
                     first_changed = info.first_changed_position
                     stale = [
                         key
-                        for key, scorer in self._scorers.items()
+                        for key, (scorer, _) in self._scorers.items()
                         if key[1] >= first_changed or scorer.cube is self._cube
                     ]
                     for key in stale:
@@ -714,7 +716,7 @@ class ExplainSession:
             cached = self._scorers.get(key)
             if cached is not None:
                 self._scorers.move_to_end(key)
-                return cached
+                return cached[0]
             with span("derive-scorer"):
                 cube = self.cube
                 if (start_pos, stop_pos) != (0, cube.n_times - 1):
@@ -731,10 +733,47 @@ class ExplainSession:
                     # still drops the LRU entries the delta invalidates).
                     cube = cube.detach(self._cube)
                 scorer = SegmentScorer(cube, config.metric)
-            self._scorers[key] = scorer
-            while len(self._scorers) > self._scorer_cache_size:
-                self._scorers.popitem(last=False)
+            self._scorers[key] = (scorer, self._owned_nbytes(cube))
+            self._trim_scorers()
             return scorer
+
+    @property
+    def scorer_cache_bytes(self) -> int | None:
+        """Byte budget of the scorer LRU, or ``None`` (the default) to bound
+        it by count only.
+
+        Counts the arrays the entries own — views into the prepared cube
+        are free — and always keeps the newest entry.  The serving
+        registry sets it to each session's own size.
+        """
+        return self._scorer_cache_bytes
+
+    @scorer_cache_bytes.setter
+    def scorer_cache_bytes(self, budget: int | None) -> None:
+        if budget is not None and budget < 0:
+            raise QueryError(f"scorer_cache_bytes must be >= 0, got {budget}")
+        with self._lock:
+            self._scorer_cache_bytes = budget
+            self._trim_scorers()
+
+    def _trim_scorers(self) -> None:
+        """Evict least-recently-used scorers past the count or byte budget."""
+        budget = self._scorer_cache_bytes
+        while len(self._scorers) > self._scorer_cache_size or (
+            budget is not None
+            and len(self._scorers) > 1
+            and sum(nbytes for _, nbytes in self._scorers.values()) > budget
+        ):
+            self._scorers.popitem(last=False)
+
+    def _owned_nbytes(self, derived: ExplanationCube) -> int:
+        """Bytes of ``derived``'s arrays that are not views of the prepared cube."""
+        shared = _cube_arrays(self.cube)
+        return sum(
+            array.nbytes
+            for array in _cube_arrays(derived)
+            if not any(np.may_share_memory(array, base) for base in shared)
+        )
 
     def pipeline(
         self,
@@ -1012,3 +1051,12 @@ class ExplainQuery:
             f"ExplainQuery(window=[{self._start!r}, {self._stop!r}]"
             f"{', ' + knobs if knobs else ''})"
         )
+
+
+def _cube_arrays(cube: ExplanationCube) -> tuple[np.ndarray, ...]:
+    return (
+        cube.overall_values,
+        cube.supports,
+        cube.included_values,
+        cube.excluded_values,
+    )

@@ -28,14 +28,20 @@ def moving_average(values: np.ndarray, window: int) -> np.ndarray:
         raise QueryError(f"moving_average expects 1-D values, got {values.shape}")
     if window < 1:
         raise QueryError(f"window must be >= 1, got {window}")
-    if window == 1 or values.shape[0] <= 1:
+    return _moving_average_rows(values[None, :], window)[0]
+
+
+def _moving_average_rows(values: np.ndarray, window: int) -> np.ndarray:
+    """:func:`moving_average` of every row of a 2-D array at once."""
+    n = values.shape[1]
+    if window == 1 or n <= 1:
         return values.copy()
     half = window // 2
-    n = values.shape[0]
-    prefix = np.concatenate([[0.0], np.cumsum(values)])
+    prefix = np.zeros((values.shape[0], n + 1))
+    np.cumsum(values, axis=1, out=prefix[:, 1:])
     left = np.maximum(np.arange(n) - half, 0)
     right = np.minimum(np.arange(n) + half, n - 1)
-    return (prefix[right + 1] - prefix[left]) / (right - left + 1)
+    return (prefix[:, right + 1] - prefix[:, left]) / (right - left + 1)
 
 
 def smooth_series(series: TimeSeries, window: int) -> TimeSeries:
@@ -53,12 +59,12 @@ def smooth_cube(cube: ExplanationCube, window: int) -> ExplanationCube:
     if window == 1:
         return cube
     overall = moving_average(cube.overall_values, window)
-    included = np.vstack(
-        [moving_average(row, window) for row in cube.included_values]
-    ) if cube.n_explanations else cube.included_values.copy()
-    excluded = np.vstack(
-        [moving_average(row, window) for row in cube.excluded_values]
-    ) if cube.n_explanations else cube.excluded_values.copy()
+    included = _moving_average_rows(
+        np.asarray(cube.included_values, dtype=np.float64), window
+    )
+    excluded = _moving_average_rows(
+        np.asarray(cube.excluded_values, dtype=np.float64), window
+    )
     return ExplanationCube.from_arrays(
         aggregate=cube.aggregate,
         measure=cube.measure,

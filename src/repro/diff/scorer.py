@@ -166,6 +166,26 @@ class SegmentScorer:
         contributions, scores = self._score_many(starts, stops)
         return scores, change_effect(contributions).astype(np.int8)
 
+    def tau_many(
+        self, starts: np.ndarray, stops: np.ndarray, indices: np.ndarray
+    ) -> np.ndarray:
+        """``tau`` of selected candidates for a batch of segments.
+
+        ``indices`` is ``(n_segments, r)``: row ``s`` names the candidates
+        whose change effect over segment ``s`` is wanted (e.g. its top-m
+        winners).  Returns an ``(n_segments, r)`` ``int8`` array, the same
+        values :meth:`tau` gives one segment at a time.
+        """
+        starts, stops = self._coerce_segments(starts, stops)
+        indices = np.asarray(indices, dtype=np.intp)
+        overall = self._cube.overall_values
+        excluded = self._cube.excluded_values
+        overall_change = (overall[stops] - overall[starts])[:, None]
+        excluded_change = (
+            excluded[indices, stops[:, None]] - excluded[indices, starts[:, None]]
+        )
+        return change_effect(overall_change - excluded_change).astype(np.int8)
+
     def scored(self, index: int, start: int, stop: int) -> ScoredExplanation:
         """A single candidate's :class:`ScoredExplanation` over a segment."""
         selector = np.asarray([index])

@@ -256,6 +256,17 @@ class Conjunction(Predicate):
         """Build from ``(attribute, value)`` pairs."""
         return cls(Eq(name, value) for name, value in items)
 
+    @classmethod
+    def from_sorted_items(cls, items: tuple[tuple[str, Hashable], ...]) -> "Conjunction":
+        """Wrap pairs already sorted by attribute, each attribute once.
+
+        The fast path for sub-conjunctions of an existing conjunction,
+        whose items always satisfy both conditions; nothing is checked.
+        """
+        conjunction = cls.__new__(cls)
+        conjunction._items = items
+        return conjunction
+
     @property
     def items(self) -> tuple[tuple[str, Hashable], ...]:
         """Sorted ``(attribute, value)`` pairs."""

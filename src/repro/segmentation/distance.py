@@ -10,7 +10,7 @@ as relevance (Table 2): an explanation that moves the KPI in opposite
 directions on the two segments is treated as irrelevant.
 
 This module is the *reference* implementation — direct, segment-at-a-time,
-used by tests and by one-off distance queries.  The vectorized bulk path
+used by tests and by one-off distance queries.  The batched cost kernel
 that the pipeline uses lives in :mod:`repro.segmentation.variance` and is
 cross-checked against this one in the test suite.
 """
@@ -18,7 +18,6 @@ cross-checked against this one in the test suite.
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 import numpy as np
 
@@ -134,28 +133,3 @@ def explanation_distance(
     backward = ndcg(scorer, segment_j, result_j, result_i)
     return combine_ndcg(forward, backward, variant)
 
-
-def pad_results(
-    results: Sequence[TopMResult], m: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Pack ragged top-m results into dense arrays for vectorized code.
-
-    Returns ``(indices, gammas, taus, valid)``, each ``(len(results), m)``;
-    missing ranks carry index 0 with ``valid`` False and zero gamma.
-    ``taus`` here are the change effects on each result's own segment,
-    re-derived from the sign convention that gamma >= 0 selections keep
-    their stored sign via the result's ``taus`` field.
-    """
-    n = len(results)
-    indices = np.zeros((n, m), dtype=np.intp)
-    gammas = np.zeros((n, m), dtype=np.float64)
-    taus = np.zeros((n, m), dtype=np.int8)
-    valid = np.zeros((n, m), dtype=bool)
-    for row, result in enumerate(results):
-        k = min(len(result.indices), m)
-        if k:
-            indices[row, :k] = result.indices[:k]
-            gammas[row, :k] = result.gammas[:k]
-            taus[row, :k] = result.taus[:k]
-            valid[row, :k] = True
-    return indices, gammas, taus, valid

@@ -70,16 +70,45 @@ def solve_k_segmentation(
     list of :class:`SegmentationScheme`
         Entry ``r`` is the optimal scheme with ``K = r + 1`` segments.
         Infeasible ``K`` (larger than ``N - 1``) are omitted.
-    """
-    n_points = cost.shape[0]
-    if cost.ndim != 2 or cost.shape[1] != n_points:
-        raise SegmentationError(f"cost matrix must be square, got {cost.shape}")
-    if n_points < 2:
-        raise SegmentationError("need at least two points to segment")
-    if k_max < 1:
-        raise SegmentationError(f"k_max must be >= 1, got {k_max}")
-    k_max = min(k_max, n_points - 1)
 
+    Each ``k`` is filled for every segment end at once: one masked
+    ``D(., k-1) + cost`` matrix and one ``argmin`` down its columns.  The
+    first minimum wins, as in :func:`solve_k_segmentation_loop`, the
+    one-cell-at-a-time reference it must match exactly.
+    """
+    n_points, k_max = _check(cost, k_max, max_object_span)
+    rows = np.arange(n_points)[:, None]
+    columns = np.arange(n_points)[None, :]
+    # allowed[i, j]: segment [i, j] may close a scheme ending at j.
+    allowed = rows < columns
+    if max_object_span is not None:
+        allowed &= rows >= columns - max_object_span
+
+    table = np.full((n_points, k_max + 1), np.inf)
+    parent = np.full((n_points, k_max + 1), -1, dtype=np.intp)
+    table[0, 0] = 0.0
+    for k in range(1, k_max + 1):
+        # Segment ends j need at least k objects before them, so both the
+        # previous end (row) and this one (column) start at k - 1 / k.
+        candidates = table[k - 1 :, k - 1, None] + cost[k - 1 :, k:]
+        candidates[~allowed[k - 1 :, k:]] = np.inf
+        best = np.argmin(candidates, axis=0)
+        value = candidates[best, np.arange(best.shape[0])]
+        finite = np.isfinite(value)
+        table[k:, k] = np.where(finite, value, np.inf)
+        parent[k:, k] = np.where(finite, best + k - 1, -1)
+    return _schemes(table, parent)
+
+
+def solve_k_segmentation_loop(
+    cost: np.ndarray, k_max: int, max_object_span: int | None = None
+) -> list[SegmentationScheme]:
+    """:func:`solve_k_segmentation`, one ``(j, k)`` cell at a time.
+
+    The direct transcription of Eq. 11, kept as the reference the
+    vectorized DP is tested against.
+    """
+    n_points, k_max = _check(cost, k_max, max_object_span)
     # table[j, k] = minimal cost covering [0, j] with k segments.
     table = np.full((n_points, k_max + 1), np.inf)
     parent = np.full((n_points, k_max + 1), -1, dtype=np.intp)
@@ -96,9 +125,30 @@ def solve_k_segmentation(
             if np.isfinite(value):
                 table[j, k] = value
                 parent[j, k] = lo + best
+    return _schemes(table, parent)
 
+
+def _check(
+    cost: np.ndarray, k_max: int, max_object_span: int | None
+) -> tuple[int, int]:
+    """Validate the DP inputs; returns ``(N, k_max capped at N - 1)``."""
+    n_points = cost.shape[0]
+    if cost.ndim != 2 or cost.shape[1] != n_points:
+        raise SegmentationError(f"cost matrix must be square, got {cost.shape}")
+    if n_points < 2:
+        raise SegmentationError("need at least two points to segment")
+    if k_max < 1:
+        raise SegmentationError(f"k_max must be >= 1, got {k_max}")
+    if max_object_span is not None and max_object_span < 1:
+        raise SegmentationError(f"max_object_span must be >= 1, got {max_object_span}")
+    return n_points, min(k_max, n_points - 1)
+
+
+def _schemes(table: np.ndarray, parent: np.ndarray) -> list[SegmentationScheme]:
+    """Backtrack the optimal scheme of every feasible ``K``."""
+    n_points = table.shape[0]
     schemes: list[SegmentationScheme] = []
-    for k in range(1, k_max + 1):
+    for k in range(1, table.shape[1]):
         if not np.isfinite(table[n_points - 1, k]):
             continue
         boundaries = [n_points - 1]

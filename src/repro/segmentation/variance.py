@@ -5,12 +5,19 @@ candidate segment ``P = [p_a, p_b]``.  :class:`SegmentationCosts`
 precomputes that entire matrix:
 
 1. score every *unit object* ``[p_x, p_x+1]`` and every candidate segment
-   with the cascading-analysts solver (module b of the pipeline);
+   with the cascading-analysts solver (module b of the pipeline), which
+   returns a :class:`~repro.ca.cascade.TopMBatch` of arrays;
 2. evaluate the NDCG-based distance between each object and its segment's
-   centroid (Eqs. 3–6) — vectorized across the objects of a segment;
+   centroid (Eqs. 3–6) — vectorized across a whole block of segments, each
+   padded to the widest span in its block and masked;
 3. for the ``allpair`` variance structures (Eq. 10), precompute the full
    object-pair distance matrix once and reduce any segment's variance to a
    2-D prefix-sum lookup.
+
+Segment results stay arrays; a :class:`~repro.ca.cascade.TopMResult` is
+built only when :meth:`SegmentationCosts.segment_result` asks for one.
+:func:`repro.segmentation.distance.explanation_distance` is the scalar
+reference the batched kernel is tested against.
 
 Restricted cut grids
 --------------------
@@ -30,22 +37,34 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
-from repro.ca.cascade import TopMResult
+from repro.ca.cascade import TopMBatch, TopMResult
 from repro.diff.scorer import SegmentScorer
 from repro.exceptions import SegmentationError
-from repro.segmentation.distance import (
-    ALLPAIR_VARIANTS,
-    VARIANTS,
-    dcg_weights,
-    pad_results,
-)
+from repro.segmentation.distance import ALLPAIR_VARIANTS, VARIANTS, dcg_weights
+
+#: Segment-object pairs (segments x widest span) one block of the batched
+#: centroid cost evaluates at once.  Each temporary of a block is one such
+#: plane, at most 256 KB of float64.
+COST_BLOCK_ELEMENTS = 1 << 15
 
 
 class TopMSolver(Protocol):
     """Anything that maps a gamma matrix to per-segment top-m results."""
 
-    def solve_batch(self, gammas: np.ndarray) -> list[TopMResult]:  # pragma: no cover
+    def solve_batch(self, gammas: np.ndarray) -> TopMBatch:  # pragma: no cover
         ...
+
+
+def _dcg(gammas: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """``sum_r gammas[..., r] * weights[r]``, summed rank by rank.
+
+    The fixed summation order makes each row's value independent of how
+    many rows are computed together.
+    """
+    total = gammas[..., 0] * weights[0]
+    for rank in range(1, weights.shape[0]):
+        total = total + gammas[..., rank] * weights[rank]
+    return total
 
 
 class SegmentationCosts:
@@ -97,18 +116,7 @@ class SegmentationCosts:
         n_times = scorer.cube.n_times
         if n_times < 2:
             raise SegmentationError("need a series of at least two points")
-        if cut_positions is None:
-            cut_positions = np.arange(n_times, dtype=np.intp)
-        else:
-            cut_positions = np.asarray(cut_positions, dtype=np.intp)
-        if cut_positions.ndim != 1 or cut_positions.shape[0] < 2:
-            raise SegmentationError("cut_positions must be a 1-D array of >= 2 points")
-        if np.any(np.diff(cut_positions) <= 0):
-            raise SegmentationError("cut_positions must be strictly increasing")
-        if cut_positions[0] < 0 or cut_positions[-1] >= n_times:
-            raise SegmentationError(
-                f"cut_positions out of range for a series of length {n_times}"
-            )
+        cut_positions = _checked_positions(cut_positions, n_times)
         if max_length is not None and max_length < int(np.diff(cut_positions).max()):
             raise SegmentationError(
                 "max_length smaller than the widest gap between cut positions; "
@@ -144,9 +152,7 @@ class SegmentationCosts:
         self._prepare_units()
         self.timings["precompute"] += time.perf_counter() - started
 
-        self._results: dict[tuple[int, int], TopMResult] = {}
-        self._cost = np.full((self._n_points, self._n_points), np.inf, dtype=np.float64)
-        np.fill_diagonal(self._cost, 0.0)
+        self._init_results()
         if variant in ALLPAIR_VARIANTS:
             self._fill_costs_allpair()
         else:
@@ -211,7 +217,11 @@ class SegmentationCosts:
 
     def unit_result(self, index: int) -> TopMResult:
         """Top-m result of the ``index``-th full-resolution unit object."""
-        return self._unit_results[index]
+        result = self._units[index]
+        return result.with_context(
+            taus=self._unit_tau[index, : len(result)],
+            source_segment=(index, index + 1),
+        )
 
     # ------------------------------------------------------------------
     # Incremental growth (streaming appends; paper section 8)
@@ -241,7 +251,7 @@ class SegmentationCosts:
           is solved independently, so the reuse is bit-exact);
         * **segment costs** whose right endpoint lies before the changed
           region are carried over from this instance's cost matrix and
-          result cache (translated through original time positions, so
+          result arrays (translated through original time positions, so
           the new cut grid may differ from the old one).
 
         Everything else — new units, and every segment touching the
@@ -282,20 +292,8 @@ class SegmentationCosts:
         grown._only_segments = None
         grown._weights = self._weights
         n_times = new_cube.n_times
-        if cut_positions is None:
-            cut_positions = np.arange(n_times, dtype=np.intp)
-        else:
-            cut_positions = np.asarray(cut_positions, dtype=np.intp)
-        if cut_positions.ndim != 1 or cut_positions.shape[0] < 2:
-            raise SegmentationError("cut_positions must be a 1-D array of >= 2 points")
-        if np.any(np.diff(cut_positions) <= 0):
-            raise SegmentationError("cut_positions must be strictly increasing")
-        if cut_positions[0] < 0 or cut_positions[-1] >= n_times:
-            raise SegmentationError(
-                f"cut_positions out of range for a series of length {n_times}"
-            )
-        grown._positions = cut_positions
-        grown._n_points = cut_positions.shape[0]
+        grown._positions = _checked_positions(cut_positions, n_times)
+        grown._n_points = grown._positions.shape[0]
         grown._n_units = n_times - 1
         grown.timings = {"precompute": 0.0, "cascading": 0.0, "segmentation": 0.0}
 
@@ -303,11 +301,7 @@ class SegmentationCosts:
         grown._extend_units(self, keep_units)
         grown.timings["precompute"] += time.perf_counter() - started
 
-        grown._results = {}
-        grown._cost = np.full(
-            (grown._n_points, grown._n_points), np.inf, dtype=np.float64
-        )
-        np.fill_diagonal(grown._cost, 0.0)
+        grown._init_results()
         if self._variant in ALLPAIR_VARIANTS:
             grown._fill_costs_allpair()
         else:
@@ -319,81 +313,74 @@ class SegmentationCosts:
         """Unit structures for a grown series, reusing a valid prefix."""
         starts = np.arange(keep_units, self._n_units, dtype=np.intp)
         stops = starts + 1
+        n_candidates = self._scorer.cube.n_explanations
         if starts.size:
             gamma_new, tau_new = self._scorer.gamma_tau_many(starts, stops)
-            change_new = self._scorer.overall_changes(starts, stops)
             ca_started = time.perf_counter()
-            solved = self._solver.solve_batch(gamma_new.T)
+            solved = _with_width(self._solver.solve_batch(gamma_new.T), self._m)
             self.timings["cascading"] += time.perf_counter() - ca_started
-            new_results = [
-                result.with_context(
-                    taus=tuple(int(tau_new[index, x]) for index in result.indices),
-                    source_segment=(int(starts[x]), int(stops[x])),
-                )
-                for x, result in enumerate(solved)
-            ]
         else:
-            gamma_new = np.empty((self._scorer.cube.n_explanations, 0))
-            tau_new = np.empty((self._scorer.cube.n_explanations, 0), dtype=np.int8)
-            change_new = np.empty(0)
-            new_results = []
+            gamma_new = np.empty((n_candidates, 0))
+            tau_new = np.empty((n_candidates, 0), dtype=np.int8)
+            solved = TopMBatch.empty(0, self._m)
         self._gamma_unit = np.concatenate(
             [previous._gamma_unit[:, :keep_units], gamma_new], axis=1
         )
         self._tau_unit = np.concatenate(
             [previous._tau_unit[:, :keep_units], tau_new], axis=1
         )
-        self._overall_change_unit = np.concatenate(
-            [previous._overall_change_unit[:keep_units], change_new]
-        )
-        self._unit_results = previous._unit_results[:keep_units] + new_results
-        self._unit_idx, self._unit_gamma, self._unit_tau, self._unit_valid = pad_results(
-            self._unit_results, self._m
-        )
-        self._ideal_unit = self._unit_gamma @ self._weights
+        kept = previous._units.take(slice(0, keep_units))
+        self._set_units(TopMBatch.concatenate([kept, solved]))
 
     def _carry_costs(
         self, grown: "SegmentationCosts", first_changed_position: int
-    ) -> set[tuple[int, int]]:
-        """Copy still-valid segment costs into ``grown``'s matrix.
+    ) -> np.ndarray:
+        """Copy still-valid segment costs and results into ``grown``.
 
         A segment is carried when its right endpoint lies strictly before
-        the changed region; returns the carried reduced pairs so the fill
-        skips them.  Translation goes through *original* positions, so the
-        old and new cut grids may differ.
+        the changed region; returns the carried pairs' keys in ``grown``
+        so the fill skips them.  Translation goes through *original*
+        positions, so the old and new cut grids may differ.
         """
-        new_index_of = {int(p): i for i, p in enumerate(grown._positions)}
-        carried: set[tuple[int, int]] = set()
-        old_positions = self._positions
-        finite_i, finite_j = np.nonzero(np.isfinite(self._cost))
-        for i, j in zip(finite_i.tolist(), finite_j.tolist()):
-            if j <= i:
-                continue
-            orig_i = int(old_positions[i])
-            orig_j = int(old_positions[j])
-            if orig_j >= first_changed_position:
-                continue
-            new_i = new_index_of.get(orig_i)
-            new_j = new_index_of.get(orig_j)
-            if new_i is None or new_j is None:
-                continue
-            grown._cost[new_i, new_j] = self._cost[i, j]
-            carried.add((new_i, new_j))
-            result = self._results.get((i, j))
-            if result is not None:
-                grown._results[(new_i, new_j)] = result
-        return carried
+        old_i, old_j = np.nonzero(np.triu(np.isfinite(self._cost), k=1))
+        orig_i = self._positions[old_i]
+        orig_j = self._positions[old_j]
+        new_i = _index_in(grown._positions, orig_i)
+        new_j = _index_in(grown._positions, orig_j)
+        carry = (orig_j < first_changed_position) & (new_i >= 0) & (new_j >= 0)
+        old_i, old_j, new_i, new_j = old_i[carry], old_j[carry], new_i[carry], new_j[carry]
+        grown._cost[new_i, new_j] = self._cost[old_i, old_j]
+
+        rows = self._rows_of(old_i, old_j)
+        solved = rows >= 0
+        if solved.any():
+            grown._store_results(
+                grown._key(new_i[solved], new_j[solved]),
+                self._segments.take(rows[solved]),
+                self._segment_tau[rows[solved]],
+            )
+        return grown._key(new_i, new_j)
 
     def segment_result(self, start: int, stop: int) -> TopMResult:
         """Top-m result of a reduced segment (lazily computed if needed)."""
-        key = (int(start), int(stop))
-        result = self._results.get(key)
-        if result is None:
-            result = self._solve_segments(
-                np.asarray([self._positions[key[0]]]),
-                np.asarray([self._positions[key[1]]]),
-            )[0]
-            self._results[key] = result
+        start, stop = int(start), int(stop)
+        lo = int(self._positions[start])
+        hi = int(self._positions[stop])
+        if hi - lo == 1:
+            return self.unit_result(lo)
+        row = int(self._rows_of(np.asarray([start]), np.asarray([stop]))[0])
+        if row >= 0:
+            batch, taus = self._segments, self._segment_tau
+        else:
+            result = self._lazy_results.get((start, stop))
+            if result is not None:
+                return result
+            batch, taus = self._solve_segments(np.asarray([lo]), np.asarray([hi]))
+            row = 0
+        result = batch[row]
+        result = result.with_context(taus=taus[row, : len(result)], source_segment=(lo, hi))
+        if batch is not self._segments:
+            self._lazy_results[(start, stop)] = result
         return result
 
     # ------------------------------------------------------------------
@@ -403,158 +390,208 @@ class SegmentationCosts:
         starts = np.arange(self._n_units, dtype=np.intp)
         stops = starts + 1
         self._gamma_unit, self._tau_unit = self._scorer.gamma_tau_many(starts, stops)
-        self._overall_change_unit = self._scorer.overall_changes(starts, stops)
 
         ca_started = time.perf_counter()
-        unit_results = self._solver.solve_batch(self._gamma_unit.T)
+        units = self._solver.solve_batch(self._gamma_unit.T)
         self.timings["cascading"] += time.perf_counter() - ca_started
+        self._set_units(_with_width(units, self._m))
 
-        self._unit_results = [
-            result.with_context(
-                taus=tuple(
-                    int(self._tau_unit[index, x]) for index in result.indices
-                ),
-                source_segment=(int(starts[x]), int(stops[x])),
-            )
-            for x, result in enumerate(unit_results)
-        ]
-        self._unit_idx, self._unit_gamma, self._unit_tau, self._unit_valid = pad_results(
-            self._unit_results, self._m
-        )
-        self._ideal_unit = self._unit_gamma @ self._weights
+    def _set_units(self, units: TopMBatch) -> None:
+        """Adopt the unit objects' results and derive their arrays."""
+        self._units = units
+        self._unit_tau = np.zeros(units.idx.shape, dtype=np.int8)
+        if units.valid.any():  # else there may be no candidate to index
+            own_taus = self._tau_unit[units.idx, np.arange(units.idx.shape[0])[:, None]]
+            self._unit_tau[units.valid] = own_taus[units.valid]
+        self._ideal_unit = _dcg(units.gamma, self._weights)
+
+    # ------------------------------------------------------------------
+    # Segment results, kept as arrays keyed by reduced pair
+    # ------------------------------------------------------------------
+    def _init_results(self) -> None:
+        self._cost = np.full((self._n_points, self._n_points), np.inf, dtype=np.float64)
+        np.fill_diagonal(self._cost, 0.0)
+        self._keys = np.empty(0, dtype=np.int64)
+        self._segments = TopMBatch.empty(0, self._m)
+        self._segment_tau = np.empty((0, self._m), dtype=np.int8)
+        self._lazy_results: dict[tuple[int, int], TopMResult] = {}
+
+    def _key(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        return np.asarray(i, dtype=np.int64) * self._n_points + np.asarray(j)
+
+    def _rows_of(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """Row of each reduced pair in the result arrays, -1 when absent."""
+        return _index_in(self._keys, self._key(i, j))
+
+    def _store_results(self, keys: np.ndarray, batch: TopMBatch, taus: np.ndarray) -> None:
+        """Append results for new keys, keeping the arrays sorted by key."""
+        keys = np.concatenate([self._keys, keys])
+        order = np.argsort(keys, kind="stable")
+        self._keys = keys[order]
+        self._segments = TopMBatch.concatenate([self._segments, batch]).take(order)
+        self._segment_tau = np.concatenate([self._segment_tau, taus])[order]
 
     # ------------------------------------------------------------------
     # Segment solving helpers
     # ------------------------------------------------------------------
-    def _segment_pairs(self) -> list[tuple[int, int]]:
+    def _segment_pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """Reduced ``(i, j)`` pairs needing a cost, honouring constraints.
 
         Pairs spanning exactly one unit object are excluded — their cost is
         0 by definition and their result is the unit's.
         """
+        n_points = self._n_points
         if self._only_segments is not None:
-            return [
-                (i, j)
-                for i, j in self._only_segments
-                if self._positions[j] - self._positions[i] > 1
-            ]
-        pairs: list[tuple[int, int]] = []
-        for i in range(self._n_points - 1):
-            for j in range(i + 1, self._n_points):
-                span = self._positions[j] - self._positions[i]
-                if self._max_length is not None and span > self._max_length:
-                    break
-                if span > 1:
-                    pairs.append((i, j))
-        return pairs
+            pairs = np.asarray(self._only_segments, dtype=np.intp).reshape(-1, 2)
+            i, j = pairs[:, 0], pairs[:, 1]
+        elif self._max_length is None:
+            i, j = np.triu_indices(n_points, k=1)
+        else:
+            # Positions strictly increase, so a span of at most max_length
+            # steps covers at most max_length reduced indices.
+            width = min(self._max_length, n_points - 1)
+            i = np.repeat(np.arange(n_points), width)
+            j = i + np.tile(np.arange(1, width + 1), n_points)
+            inside = j < n_points
+            i, j = i[inside], j[inside]
+        span = self._positions[j] - self._positions[i]
+        keep = span > 1
+        if self._max_length is not None:
+            keep &= span <= self._max_length
+        return i[keep], j[keep]
 
     def _solve_segments(
         self, starts: np.ndarray, stops: np.ndarray
-    ) -> list[TopMResult]:
-        """Solve top-m for segments given by original-position arrays."""
+    ) -> tuple[TopMBatch, np.ndarray]:
+        """Top-m results and winner taus of segments given by positions."""
         gammas = self._scorer.gamma_many(starts, stops)
         ca_started = time.perf_counter()
-        results = self._solver.solve_batch(gammas.T)
+        batch = _with_width(self._solver.solve_batch(gammas.T), self._m)
         self.timings["cascading"] += time.perf_counter() - ca_started
-        annotated = []
-        for column, result in enumerate(results):
-            # Effects are only reported for each segment's m winners, so
-            # fetch those instead of materializing the full tau matrix.
-            winner_taus = self._scorer.tau(
-                int(starts[column]),
-                int(stops[column]),
-                np.asarray(result.indices, dtype=np.intp),
-            )
-            result_taus = tuple(int(tau) for tau in winner_taus)
-            annotated.append(
-                result.with_context(
-                    taus=result_taus,
-                    source_segment=(int(starts[column]), int(stops[column])),
-                )
-            )
-        return annotated
+        # Effects are only reported for each segment's m winners, so
+        # fetch those instead of materializing the full tau matrix.
+        taus = np.zeros(batch.idx.shape, dtype=np.int8)
+        if batch.valid.any():
+            taus[batch.valid] = self._scorer.tau_many(starts, stops, batch.idx)[batch.valid]
+        return batch, taus
 
     # ------------------------------------------------------------------
     # Centroid-structured variants (tse, dist1, dist2, S-variants)
     # ------------------------------------------------------------------
-    def _fill_costs_centroid(self, skip: set[tuple[int, int]] | None = None) -> None:
-        pairs = self._segment_pairs()
-        if skip:
-            pairs = [pair for pair in pairs if pair not in skip]
+    def _fill_costs_centroid(self, skip: np.ndarray | None = None) -> None:
         # Single-object segments cost 0 by definition: the object is its
         # own centroid.
-        for i in range(self._n_points - 1):
-            for j in range(i + 1, self._n_points):
-                if self._positions[j] - self._positions[i] == 1:
-                    self._cost[i, j] = 0.0
-                    self._results[(i, j)] = self._unit_results[int(self._positions[i])]
+        unit_pairs = np.flatnonzero(np.diff(self._positions) == 1)
+        self._cost[unit_pairs, unit_pairs + 1] = 0.0
 
+        pair_i, pair_j = self._segment_pairs()
+        if skip is not None and skip.size:
+            fresh = ~np.isin(self._key(pair_i, pair_j), skip)
+            pair_i, pair_j = pair_i[fresh], pair_j[fresh]
         epsilon = max(self._scorer.cube.n_explanations, 1)
-        chunk = int(np.clip(32_000_000 // (8 * epsilon), 64, 8192))
-        for offset in range(0, len(pairs), chunk):
-            block = pairs[offset : offset + chunk]
-            starts = self._positions[np.asarray([i for i, _ in block], dtype=np.intp)]
-            stops = self._positions[np.asarray([j for _, j in block], dtype=np.intp)]
-            results = self._solve_segments(starts, stops)
+        chunk = int(np.clip(4_000_000 // (8 * epsilon), 64, 8192))
+        for offset in range(0, pair_i.shape[0], chunk):
+            block_i = pair_i[offset : offset + chunk]
+            block_j = pair_j[offset : offset + chunk]
+            starts = self._positions[block_i]
+            stops = self._positions[block_j]
+            batch, taus = self._solve_segments(starts, stops)
             distance_started = time.perf_counter()
-            for (i, j), result in zip(block, results):
-                self._results[(i, j)] = result
-                self._cost[i, j] = self._centroid_cost(i, j, result)
+            self._store_results(self._key(block_i, block_j), batch, taus)
+            self._cost[block_i, block_j] = self._centroid_costs(starts, stops, batch, taus)
             self.timings["segmentation"] += time.perf_counter() - distance_started
 
-    def _centroid_cost(self, i: int, j: int, centroid: TopMResult) -> float:
-        """``sum_x dist(object_x, centroid)`` over the covered unit objects."""
+    def _centroid_costs(
+        self,
+        starts: np.ndarray,
+        stops: np.ndarray,
+        centroids: TopMBatch,
+        centroid_taus: np.ndarray,
+    ) -> np.ndarray:
+        """``sum_x dist(object_x, centroid)`` of every segment.
+
+        Segments are taken in blocks of similar span (sorted by span) so
+        that padding to a block's widest span stays small, and each block
+        holds at most :data:`COST_BLOCK_ELEMENTS` segment-object pairs.
+        """
+        spans = stops - starts
+        order = np.argsort(spans, kind="stable")
+        costs = np.empty(starts.shape[0], dtype=np.float64)
+        done = 0
+        while done < order.shape[0]:
+            ahead = order[done : done + COST_BLOCK_ELEMENTS]
+            padded = spans[ahead] * np.arange(1, ahead.shape[0] + 1)
+            count = max(int(np.searchsorted(padded, COST_BLOCK_ELEMENTS, side="right")), 1)
+            rows = ahead[:count]
+            costs[rows] = self._centroid_block(
+                starts[rows], stops[rows], centroids.take(rows), centroid_taus[rows]
+            )
+            done += count
+        return costs
+
+    def _centroid_block(
+        self,
+        starts: np.ndarray,
+        stops: np.ndarray,
+        centroids: TopMBatch,
+        centroid_taus: np.ndarray,
+    ) -> np.ndarray:
+        """The centroid costs of one block, padded to its widest span.
+
+        Ranks are visited one at a time so every temporary is one
+        ``(segments, span)`` plane; DCG sums add rank by rank.
+        """
         weights = self._weights
-        start_pos = int(self._positions[i])
-        stop_pos = int(self._positions[j])
-        span = slice(start_pos, stop_pos)
-        n_objects = stop_pos - start_pos
+        spans = stops - starts
+        offsets = np.arange(int(spans.max()))
+        inside = offsets[None, :] < spans[:, None]  # (P, L)
+        # Padding objects repeat the segment's first object, then mask.
+        objects = np.where(inside, starts[:, None] + offsets[None, :], starts[:, None])
 
         # --- NDCG(object_x, E*(centroid)) per object ----------------------
-        if centroid.indices:
-            c_idx = np.asarray(centroid.indices, dtype=np.intp)
-            c_tau = np.asarray(centroid.taus, dtype=np.int8)
-            rel = self._gamma_unit[c_idx][:, span]  # (m_c, L)
-            agree = self._tau_unit[c_idx][:, span] == c_tau[:, None]
-            numerator = (rel * agree).T @ weights[: c_idx.shape[0]]  # (L,)
-        else:
-            numerator = np.zeros(n_objects)
-        ideal = self._ideal_unit[span]
-        centroid_explains_obj = np.ones(n_objects)
+        ideal = self._ideal_unit[objects]
+        numerator = np.zeros_like(ideal)
+        for rank in np.flatnonzero(centroids.valid.any(axis=0)):
+            candidate = centroids.idx[:, rank, None]
+            agree = self._tau_unit[candidate, objects] == centroid_taus[:, rank, None]
+            agree &= centroids.valid[:, rank, None]
+            numerator += self._gamma_unit[candidate, objects] * agree * weights[rank]
+        centroid_explains_obj = np.ones_like(ideal)
         positive = ideal > 0.0
         centroid_explains_obj[positive] = np.minimum(
             numerator[positive] / ideal[positive], 1.0
         )
+        del numerator
 
         # --- NDCG(centroid, E*(object_x)) per object ----------------------
-        ideal_centroid = (
-            float(np.dot(centroid.gammas, weights[: len(centroid.gammas)]))
-            if centroid.gammas
-            else 0.0
-        )
-        if ideal_centroid > 0.0:
+        ideal_centroid = _dcg(centroids.gamma, weights)  # (P,)
+        obj_explains_centroid = np.ones_like(ideal)
+        explained = ideal_centroid > 0.0
+        if explained.any():
             cube = self._scorer.cube
-            overall_change = (
-                cube.overall_values[stop_pos] - cube.overall_values[start_pos]
-            )
-            obj_idx = self._unit_idx[span]  # (L, m)
+            lo = starts[explained, None]
+            hi = stops[explained, None]
+            overall_change = cube.overall_values[hi] - cube.overall_values[lo]
+            obj = objects[explained]
             excluded = cube.excluded_values
-            delta = overall_change - (
-                excluded[obj_idx, stop_pos] - excluded[obj_idx, start_pos]
+            numerator_back = np.zeros(obj.shape)
+            for rank in range(weights.shape[0]):
+                candidate = self._units.idx[obj, rank]
+                delta = overall_change - (excluded[candidate, hi] - excluded[candidate, lo])
+                agree = np.sign(delta).astype(np.int8) == self._unit_tau[obj, rank]
+                agree &= self._units.valid[obj, rank]
+                rel = self._scorer.metric.score(delta, overall_change)
+                numerator_back += rel * agree * weights[rank]
+            obj_explains_centroid[explained] = np.minimum(
+                numerator_back / ideal_centroid[explained, None], 1.0
             )
-            rel = self._scorer.metric.score(delta, overall_change)
-            agree = np.sign(delta).astype(np.int8) == self._unit_tau[span]
-            masked = rel * agree * self._unit_valid[span]
-            numerator_back = masked @ weights
-            obj_explains_centroid = np.minimum(numerator_back / ideal_centroid, 1.0)
-        else:
-            obj_explains_centroid = np.ones(n_objects)
 
         # combine_ndcg convention: first argument is NDCG(P_i, E*(P_j))
         # with P_i the centroid (Eq. 8).
-        return float(
-            np.sum(self._combine(obj_explains_centroid, centroid_explains_obj))
-        )
+        distance = self._combine(obj_explains_centroid, centroid_explains_obj)
+        distance[~inside] = 0.0
+        # A running sum adds each row left to right, whatever the padding.
+        return np.cumsum(distance, axis=1)[np.arange(spans.shape[0]), spans - 1]
 
     # ------------------------------------------------------------------
     # All-pair variants (Eq. 10)
@@ -563,9 +600,9 @@ class SegmentationCosts:
         distance_started = time.perf_counter()
         n_units = self._n_units
         # ndcg_pair[x, y] = NDCG(object_x, E*(object_y)) for all unit pairs.
-        rel = self._gamma_unit[self._unit_idx]  # (n_units, m, n_units): [y, r, x]
-        agree = self._tau_unit[self._unit_idx] == self._unit_tau[:, :, None]
-        masked = rel * agree * self._unit_valid[:, :, None]
+        rel = self._gamma_unit[self._units.idx]  # (n_units, m, n_units): [y, r, x]
+        agree = self._tau_unit[self._units.idx] == self._unit_tau[:, :, None]
+        masked = rel * agree * self._units.valid[:, :, None]
         numerator = np.einsum("yrx,r->yx", masked, self._weights)
         ndcg_pair = np.ones((n_units, n_units))
         positive = self._ideal_unit > 0.0
@@ -578,25 +615,16 @@ class SegmentationCosts:
         # 2-D prefix sums make every segment's pair total an O(1) lookup.
         prefix = np.zeros((n_units + 1, n_units + 1))
         prefix[1:, 1:] = np.cumsum(np.cumsum(pair_distance, axis=0), axis=1)
-        requested = (
-            None if self._only_segments is None else set(self._only_segments)
-        )
-        for i in range(self._n_points - 1):
-            for j in range(i + 1, self._n_points):
-                lo = int(self._positions[i])
-                hi = int(self._positions[j])
-                span = hi - lo
-                if self._max_length is not None and span > self._max_length:
-                    break
-                if requested is not None and (i, j) not in requested and span > 1:
-                    continue
-                if span == 1:
-                    self._cost[i, j] = 0.0
-                    continue
-                block = prefix[hi, hi] - prefix[lo, hi] - prefix[hi, lo] + prefix[lo, lo]
-                n_pairs = span * (span - 1) / 2.0
-                variance = (block / 2.0) / n_pairs
-                self._cost[i, j] = span * variance
+        unit_pairs = np.flatnonzero(np.diff(self._positions) == 1)
+        self._cost[unit_pairs, unit_pairs + 1] = 0.0
+        i, j = self._segment_pairs()
+        lo = self._positions[i]
+        hi = self._positions[j]
+        span = hi - lo
+        block = prefix[hi, hi] - prefix[lo, hi] - prefix[hi, lo] + prefix[lo, lo]
+        n_pairs = span * (span - 1) / 2.0
+        variance = (block / 2.0) / n_pairs
+        self._cost[i, j] = span * variance
         self.timings["segmentation"] += time.perf_counter() - distance_started
 
     # ------------------------------------------------------------------
@@ -638,3 +666,45 @@ def scheme_total_variance(
     per_segment = [costs.variance(i, j) for i, j in pairs]
     total = sum(costs.cost(i, j) for i, j in pairs)
     return float(total), per_segment
+
+
+def _with_width(batch: TopMBatch, m: int) -> TopMBatch:
+    """``batch`` cut or zero-padded to ``m`` ranks, for a solver whose own
+    quota differs from the costs' ``m`` (missing ``Best`` entries repeat
+    the last one)."""
+    if batch.m == m:
+        return batch
+    fitted = TopMBatch.empty(len(batch), m)
+    keep = min(m, batch.m)
+    fitted.idx[:, :keep] = batch.idx[:, :keep]
+    fitted.gamma[:, :keep] = batch.gamma[:, :keep]
+    fitted.valid[:, :keep] = batch.valid[:, :keep]
+    fitted.best[:, : keep + 1] = batch.best[:, : keep + 1]
+    fitted.best[:, keep + 1 :] = batch.best[:, keep : keep + 1]
+    return fitted
+
+
+def _checked_positions(
+    cut_positions: Sequence[int] | np.ndarray | None, n_times: int
+) -> np.ndarray:
+    """Validated cut grid; every position when ``cut_positions`` is None."""
+    if cut_positions is None:
+        return np.arange(n_times, dtype=np.intp)
+    cut_positions = np.asarray(cut_positions, dtype=np.intp)
+    if cut_positions.ndim != 1 or cut_positions.shape[0] < 2:
+        raise SegmentationError("cut_positions must be a 1-D array of >= 2 points")
+    if np.any(np.diff(cut_positions) <= 0):
+        raise SegmentationError("cut_positions must be strictly increasing")
+    if cut_positions[0] < 0 or cut_positions[-1] >= n_times:
+        raise SegmentationError(
+            f"cut_positions out of range for a series of length {n_times}"
+        )
+    return cut_positions
+
+
+def _index_in(sorted_values: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Position of each value in a sorted array, -1 when absent."""
+    found = np.searchsorted(sorted_values, values)
+    inside = found < sorted_values.shape[0]
+    inside[inside] = sorted_values[found[inside]] == values[inside]
+    return np.where(inside, found, -1)

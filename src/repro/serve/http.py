@@ -31,7 +31,7 @@ writes JSON.  Endpoints:
     and return collapsed stacks as plain text — ``phase;frame;…;frame
     count`` lines, flamegraph.pl-compatible, with each sample attributed
     to its trace phase via the tracer's active-span map
-    (:mod:`repro.obs.profile`).
+    (:mod:`repro.obs.profile`).  Malformed parameters get a JSON 400.
 
 Every response carries an ``X-Repro-Trace-Id`` header; sampled requests
 export their phase-span tree as JSON lines (:mod:`repro.obs.trace`).
@@ -214,9 +214,12 @@ class _Handler(BaseHTTPRequestHandler):
                         try:
                             body, status = app.render_profile(params), 200
                         except ReproError as error:
-                            body, status = f"error: {error}\n", 400
+                            body, status = {"error": str(error)}, 400
                         app.note_request()
-                        self._write_text(body, status, trace_id=trace.trace_id)
+                        if status == 200:
+                            self._write_text(body, status, trace_id=trace.trace_id)
+                        else:
+                            self._write_json(body, status, trace_id=trace.trace_id)
                     else:
                         try:
                             payload, status = app.dispatch(parsed.path, params)
@@ -285,8 +288,14 @@ class _Handler(BaseHTTPRequestHandler):
             self.send_header("Retry-After", str(retry_after))
         if trace_id is not None:
             self.send_header("X-Repro-Trace-Id", trace_id)
-        self.end_headers()
-        self.wfile.write(body)
+        if self.request_version == "HTTP/0.9":  # no status line, no headers
+            self.wfile.write(body)
+            return
+        # Headers and body leave in one write: written separately, the
+        # body of a keep-alive response waits on the client's delayed ACK
+        # of the header segment (Nagle), tens of milliseconds per request.
+        self._headers_buffer.append(b"\r\n" + body)
+        self.flush_headers()
 
     def log_request(self, code="-", size="-") -> None:
         # Per-request lines are emitted by observe_request through the

@@ -119,7 +119,8 @@ def session_nbytes(session: ExplainSession) -> int:
 
     Counts the dominant arrays: the finalized series matrices plus the
     delta ledger's aggregate states.  Derived scorer-LRU entries are
-    bounded separately (per session) and excluded — the estimate drives
+    excluded: the registry budgets each session's LRU to this same
+    estimate when it admits the session.  The estimate drives
     relative eviction order, not an allocator.  The detect tier's
     baseline state is counted separately (:func:`detector_nbytes`) and
     folded into the entry estimate when a detector is built.
@@ -743,9 +744,13 @@ class SessionRegistry:
 
     def _admit(self, name: str, session: ExplainSession, build_seconds: float) -> None:
         now = self._clock()
+        nbytes = session_nbytes(session)
+        # Derived scorers may hold at most what the session itself does,
+        # so a session's resident size stays within twice its estimate.
+        session.scorer_cache_bytes = nbytes
         self._entries[name] = _Entry(
             session=session,
-            nbytes=session_nbytes(session),
+            nbytes=nbytes,
             created=now,
             last_used=now,
             build_seconds=build_seconds,

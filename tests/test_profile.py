@@ -540,10 +540,17 @@ class TestServeProfile:
             assert app.slow_profile_path.parent == app.trace_export_path.parent
 
             # --- malformed parameters are rejected loudly ---------------
-            for query in ("seconds=99", "seconds=abc", "minutes=1"):
+            # ... as JSON, like every other endpoint's errors.
+            for query, reason in (
+                ("seconds=99", "seconds must be in"),
+                ("seconds=abc", "expects float"),
+                ("minutes=1", "unsupported parameter"),
+            ):
                 with pytest.raises(urllib.error.HTTPError) as failure:
                     urllib.request.urlopen(f"{app.url}/debug/profile?{query}")
                 assert failure.value.code == 400
+                assert failure.value.headers["Content-Type"] == "application/json"
+                assert reason in json.loads(failure.value.read())["error"]
         finally:
             app.shutdown()
 

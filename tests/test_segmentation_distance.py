@@ -17,7 +17,6 @@ from repro.segmentation.distance import (
     explanation_distance,
     ideal_dcg,
     ndcg,
-    pad_results,
 )
 from tests.conftest import regime_relation
 
@@ -148,10 +147,16 @@ def test_combine_one_sided():
     )
 
 
-def test_pad_results_shapes(scorer):
-    results = [solve(scorer, x, x + 1) for x in range(4)]
-    indices, gammas, taus, valid = pad_results(results, 3)
-    assert indices.shape == (4, 3)
-    assert valid.dtype == bool
-    for row, result in enumerate(results):
-        assert valid[row].sum() == len(result.indices)
+def test_batch_rows_are_prefix_padded(scorer):
+    solver = CascadingAnalysts(DrillDownTree(scorer.cube.explanations), m=3)
+    starts = np.arange(4)
+    batch = solver.solve_batch(scorer.gamma_many(starts, starts + 1).T)
+    assert batch.idx.shape == batch.gamma.shape == batch.valid.shape == (4, 3)
+    assert batch.best.shape == (4, 4)
+    assert batch.valid.dtype == bool
+    for row in range(4):
+        result = solve(scorer, row, row + 1)
+        kept = len(result.indices)
+        assert batch.valid[row].tolist() == [True] * kept + [False] * (3 - kept)
+        assert batch[row].indices == result.indices
+        assert not batch.gamma[row, kept:].any()

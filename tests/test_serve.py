@@ -215,6 +215,8 @@ class TestSessionRegistry:
         assert stats["misses"] == 1 and stats["hits"] == 1
         assert stats["resident_sessions"] == 1
         assert stats["memory_bytes"] == session_nbytes(first) > 0
+        # Derived scorers may hold at most what the session itself does.
+        assert first.scorer_cache_bytes == session_nbytes(first)
 
     def test_cold_build_is_single_flight(self):
         release = threading.Event()
@@ -793,6 +795,50 @@ def test_blank_parameter_is_400(app):
     with pytest.raises(urllib.error.HTTPError) as error:
         urllib.request.urlopen(f"{app.url}/explain?dataset=")
     assert error.value.code == 400
+
+
+def test_each_response_goes_out_in_one_write(app, monkeypatch):
+    """Headers and body share one write, so a keep-alive client never
+    waits on a delayed ACK between them."""
+    import http.client
+
+    from repro.serve import http as serve_http
+
+    writes: list[bytes] = []
+    original_setup = serve_http._Handler.setup
+
+    class CountingWriter:
+        def __init__(self, raw):
+            self._raw = raw
+
+        def write(self, data):
+            writes.append(bytes(data))
+            return self._raw.write(data)
+
+        def __getattr__(self, name):
+            return getattr(self._raw, name)
+
+    def setup(handler):
+        original_setup(handler)
+        handler.wfile = CountingWriter(handler.wfile)
+
+    monkeypatch.setattr(serve_http._Handler, "setup", setup)
+    host, port = app.url.removeprefix("http://").split(":")
+    connection = http.client.HTTPConnection(host, int(port), timeout=30)
+    bodies = []
+    try:
+        # One keep-alive connection: a JSON answer, a JSON error, metrics.
+        for path in ("/explain?dataset=regime", "/nope", "/metrics"):
+            connection.request("GET", path)
+            response = connection.getresponse()
+            bodies.append(response.read())
+            assert response.getheader("Connection") != "close"
+    finally:
+        connection.close()
+    assert len(writes) == 3, [w[:40] for w in writes]
+    for write, body in zip(writes, bodies):
+        assert write.startswith(b"HTTP/1.1 ")
+        assert write.endswith(b"\r\n\r\n" + body)
 
 
 def test_admission_control_sheds_excess_with_503():

@@ -160,6 +160,25 @@ class TestSessionReuse:
         session.scorer("t010", "t015")  # evicts the t000-t005 scorer
         assert session.scorer("t000", "t005") is not a
 
+    def test_byte_budget_evicts_oldest_owned_arrays(self, simple_relation):
+        session = ExplainSession(
+            simple_relation, "sales", ["cat"], config=ExplainConfig(k=2)
+        )
+        cube = session.prepare().cube
+        half = (cube.included_values.nbytes + cube.excluded_values.nbytes) // 2
+        session.scorer_cache_bytes = half
+        # Each derived window owns copies of its rows: 11 of 24 points.
+        a = session.scorer("t000", "t010")
+        b = session.scorer("t010", "t020")  # together past the budget
+        assert session.scorer("t010", "t020") is b
+        assert session.scorer("t000", "t010") is not a
+        # Even a zero budget keeps the newest entry.
+        session.scorer_cache_bytes = 0
+        c = session.scorer("t005", "t015")
+        assert session.scorer("t005", "t015") is c
+        with pytest.raises(QueryError):
+            session.scorer_cache_bytes = -1
+
     def test_scorer_cache_size_validated(self, simple_relation):
         with pytest.raises(QueryError):
             ExplainSession(
