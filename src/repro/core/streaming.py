@@ -51,7 +51,7 @@ relation is fingerprinted once (at :meth:`refresh`), and each update
 folds only its delta's fingerprint into the previous key
 (:func:`~repro.cube.cache.chain_fingerprint`) — so per-update *hashing*
 is O(delta), never a whole-relation hash.  The snapshot **write** itself
-is still proportional to the cube (a compressed dump of the series
+is still proportional to the cube (an uncompressed dump of the series
 arrays and the append ledger) and only pays off on replay: leave
 ``cache_dir`` unset for high-frequency streams that are never replayed,
 and pair it with ``cache_max_entries`` on long-running ones to bound the

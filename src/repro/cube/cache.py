@@ -33,20 +33,19 @@ runs.
 
 On-disk format
 --------------
-Each entry is an ``.npz`` archive: the four series arrays plus a JSON
-header (key, labels, explanation items, counts) encoded as a ``uint8``
-member.  Deliberately **no pickle** — entries are loaded with
-``allow_pickle=False``, so a crafted file in a shared cache directory can
-corrupt at most itself, never execute code in the reader.  JSON confines
-labels and explanation values to str/int/float/bool/None; that is what
-relations produce (``.item()``-converted scalars), and anything else
-fails the store loudly rather than silently widening the format.
+One file per key: the uncompressed, mmap-able cube file of
+:mod:`repro.cube.artifact` (suffix ``.cube.art.npz``).  :meth:`RollupCache.store`
+and :meth:`RollupCache.store_artifact` write it, :meth:`RollupCache.load`
+reads it back (reviving an appendable cube's delta ledger, so a restarted
+stream can keep appending to a loaded snapshot) and
+:meth:`RollupCache.load_artifact` memory-maps the same file for the serve
+tier.  The JSON header carries the key, labels and explanation items —
+deliberately **no pickle**, see :mod:`repro.cube.artifact`.
 
-Since format 2, an *appendable* cube also persists its delta-maintenance
-ledger (:mod:`repro.cube.delta`): the per-subset aggregate states, group
-counts/values and parent maps, plus the overall state.  A format-2 entry
-therefore revives as an appendable cube — a restarted stream can load a
-snapshot and keep appending to it.
+Entries of the retired compressed format (``.cube.npz``) are never read:
+they are misses, are listed as invalid by :meth:`RollupCache.entries`, count
+against ``max_entries`` (so eviction removes them first, being oldest) and
+are removed by :meth:`RollupCache.clear`.
 
 Streaming replay (chain keys + append log)
 ------------------------------------------
@@ -70,15 +69,18 @@ from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
-import numpy as np
-
+from repro.cube.artifact import (
+    ARTIFACT_SUFFIX,
+    _key_dict,
+    artifact_path_for,
+    open_artifact,
+    read_artifact_header,
+    write_artifact,
+)
 from repro.cube.datacube import ExplanationCube
-from repro.cube.delta import CubeAppendState, SubsetLedger
 from repro.exceptions import AggregateError, QueryError
 from repro.obs.metrics import get_registry as _get_metrics
 from repro.relation.aggregates import AggregateFunction, get_aggregate
-from repro.relation.predicates import Conjunction
-from repro.relation.schema import Attribute, AttributeKind, Schema
 from repro.relation.table import Relation
 
 
@@ -89,12 +91,12 @@ def _requests_counter(name: str, help: str):
     return _get_metrics().counter(name, help, labels=("outcome",))
 
 
-#: Bump when the on-disk payload layout changes; older entries then read
-#: as misses and are rebuilt.
-CACHE_FORMAT = 2
+#: Filename suffix of cache entries: the one cube file of
+#: :mod:`repro.cube.artifact`.
+CACHE_SUFFIX = ARTIFACT_SUFFIX
 
-#: Filename suffix of cache entries.
-CACHE_SUFFIX = ".cube.npz"
+#: Filename suffix of the retired compressed entries (read as misses).
+LEGACY_SUFFIX = ".cube.npz"
 
 #: Filename suffix of lattice manifests (one per data fingerprint).
 MANIFEST_SUFFIX = ".lattice.json"
@@ -231,7 +233,7 @@ class RollupCache:
 
     def path_for(self, key: CubeKey) -> Path:
         """The file path the given key is stored under."""
-        return self._directory / f"{key.digest()}{CACHE_SUFFIX}"
+        return artifact_path_for(self._directory, key)
 
     # ------------------------------------------------------------------
     # Load / store
@@ -241,56 +243,15 @@ class RollupCache:
 
         Entries stored with their delta ledger (appendable cubes) revive
         as appendable cubes; ledger-less entries load as fixed cubes.
+        Either way the arrays are private copies, not mappings.
         """
-        cube = self._load(key)
+        cube = open_artifact(self._directory, key, mmap=False, appendable=None)
+        if cube is not None:
+            self._touch(key)
         _requests_counter("repro_rollup_cache_requests_total", "Rollup cache operations by outcome (hit / miss / store)").inc(
             outcome="hit" if cube is not None else "miss"
         )
         return cube
-
-    def _load(self, key: CubeKey) -> ExplanationCube | None:
-        path = self.path_for(key)
-        try:
-            with np.load(path, allow_pickle=False) as data:
-                header = _read_header(data)
-                if header["format"] != CACHE_FORMAT or header["key"] != _key_dict(key):
-                    return None
-                if header.get("appendable"):
-                    cube = ExplanationCube.from_append_state(
-                        _load_append_state(header, data)
-                    )
-                else:
-                    explanations = tuple(
-                        Conjunction.from_items(
-                            (name, value) for name, value in items
-                        )
-                        for items in header["explanations"]
-                    )
-                    cube = ExplanationCube.from_arrays(
-                        aggregate=get_aggregate(header["aggregate"]),
-                        measure=header["measure"],
-                        explain_by=tuple(header["explain_by"]),
-                        labels=tuple(header["labels"]),
-                        overall=np.asarray(data["overall"], dtype=np.float64),
-                        explanations=explanations,
-                        supports=np.asarray(data["supports"], dtype=np.int64),
-                        included=np.asarray(data["included"], dtype=np.float64),
-                        excluded=np.asarray(data["excluded"], dtype=np.float64),
-                    )
-            # Mark the entry as recently used so LRU eviction keeps hot
-            # entries alive.
-            try:
-                os.utime(path)
-            except OSError:
-                pass
-            return cube
-        except FileNotFoundError:
-            return None
-        except Exception:
-            # Unreadable entries (truncated writes, foreign files, format
-            # drift) are misses, not errors: the caller rebuilds from the
-            # relation and overwrites the entry.
-            return None
 
     def store(self, key: CubeKey, cube: ExplanationCube) -> Path:
         """Atomically persist a built cube under ``key``; returns the path.
@@ -303,120 +264,29 @@ class RollupCache:
         only produce such scalars, so this fires for hand-built cubes
         only.
         """
-        header = {
-            "format": CACHE_FORMAT,
-            "key": _key_dict(key),
-            "aggregate": cube.aggregate.name,
-            "measure": cube.measure,
-            "explain_by": list(cube.explain_by),
-            "labels": list(cube.labels),
-            "explanations": [
-                [[name, value] for name, value in conj.items]
-                for conj in cube.explanations
-            ],
-            "n_explanations": cube.n_explanations,
-            "n_times": cube.n_times,
-        }
-        arrays: dict[str, np.ndarray] = {
-            "overall": cube.overall_values,
-            "supports": cube.supports,
-            "included": cube.included_values,
-            "excluded": cube.excluded_values,
-        }
-        state = cube.append_state
-        if state is not None:
-            n = state.n_times
-            header["appendable"] = True
-            header["state"] = {
-                "time_attr": state.time_attr,
-                "max_order": state.max_order,
-                "deduplicate": state.deduplicate,
-                "schema": [
-                    [attribute.name, attribute.kind.value]
-                    for attribute in state.schema
-                ],
-                "subsets": [list(ledger.attrs) for ledger in state.ledgers],
-                "values": [
-                    [[_python_value(value) for value in column] for column in ledger.values]
-                    for ledger in state.ledgers
-                ],
-            }
-            arrays["overall_state"] = state.overall[:, :n]
-            for i, ledger in enumerate(state.ledgers):
-                arrays[f"state{i}"] = ledger.state[:, :, :n]
-                arrays[f"counts{i}"] = ledger.counts
-                arrays[f"parents{i}"] = (
-                    np.stack(ledger.parents)
-                    if ledger.parents
-                    else np.empty((0, ledger.n_slots), dtype=np.intp)
-                )
-        header_bytes = json.dumps(header, allow_nan=True).encode("utf-8")
-        path = self.path_for(key)
-        # Writes are crash- and racer-safe: the payload lands in a unique
-        # temp file first and is published with an atomic rename, so a
-        # concurrent reader only ever sees a complete entry (or none).  A
-        # concurrent ``clear()``/external cleanup can still remove the
-        # directory (or the temp file) between our mkdir and the rename —
-        # that surfaces as FileNotFoundError, so re-create the directory
-        # and retry the whole write once before giving up.
-        last_error: FileNotFoundError | None = None
-        for _ in range(2):
-            self._directory.mkdir(parents=True, exist_ok=True)
-            try:
-                handle, tmp_name = tempfile.mkstemp(
-                    dir=self._directory, suffix=f"{CACHE_SUFFIX}.tmp"
-                )
-            except FileNotFoundError as error:
-                last_error = error
-                continue
-            try:
-                with os.fdopen(handle, "wb") as tmp:
-                    np.savez_compressed(
-                        tmp,
-                        header=np.frombuffer(header_bytes, dtype=np.uint8),
-                        **arrays,
-                    )
-                os.replace(tmp_name, path)
-            except FileNotFoundError as error:
-                last_error = error
-                try:
-                    os.unlink(tmp_name)
-                except OSError:
-                    pass
-                continue
-            except BaseException:
-                try:
-                    os.unlink(tmp_name)
-                except OSError:
-                    pass
-                raise
-            self._evict()
-            _requests_counter(
-                "repro_rollup_cache_requests_total", "Rollup cache operations by outcome (hit / miss / store)"
-            ).inc(outcome="store")
-            return path
-        assert last_error is not None
-        raise last_error
+        path = write_artifact(self._directory, key, cube)
+        self._evict()
+        _requests_counter(
+            "repro_rollup_cache_requests_total", "Rollup cache operations by outcome (hit / miss / store)"
+        ).inc(outcome="store")
+        return path
 
     # ------------------------------------------------------------------
-    # Finalized-cube artifacts (repro.cube.artifact)
+    # The serve tier's view of the same files (repro.cube.artifact)
     # ------------------------------------------------------------------
     def artifact_path_for(self, key: CubeKey) -> Path:
-        """Where the mmap-able finalized artifact of ``key`` lives."""
-        from repro.cube.artifact import artifact_path_for
-
-        return artifact_path_for(self._directory, key)
+        """Where the mmap-able cube file of ``key`` lives (:meth:`path_for`)."""
+        return self.path_for(key)
 
     def store_artifact(self, key: CubeKey, cube: ExplanationCube) -> Path:
-        """Atomically persist ``cube`` as a mmap-able artifact; returns the path.
+        """Make sure ``cube`` is persisted under ``key``; returns the path.
 
-        Unlike :meth:`store` the payload is written *uncompressed*, so
-        every serve worker can memory-map the series matrices in place
-        — one resident copy per machine instead of one per process.
+        The file is the one :meth:`store` writes.  When a cold build
+        already stored this very cube (same key, same header), nothing is
+        written again; otherwise the file is (over)written atomically.
         """
-        from repro.cube.artifact import write_artifact
-
-        path = write_artifact(self._directory, key, cube)
+        path = write_artifact(self._directory, key, cube, rewrite=False)
+        self._evict()
         _requests_counter(
             "repro_artifact_requests_total", "Finalized-cube artifact operations by outcome (hit / miss / store)"
         ).inc(outcome="store")
@@ -425,17 +295,25 @@ class RollupCache:
     def load_artifact(
         self, key: CubeKey, mmap: bool = True, appendable: bool = False
     ) -> ExplanationCube | None:
-        """The artifact cube for ``key`` or ``None`` — same miss contract
-        as :meth:`load` (corruption reads as a miss, never an error)."""
-        from repro.cube.artifact import open_artifact
-
+        """The cube for ``key`` with its series memory-mapped, or ``None``
+        — same miss contract as :meth:`load` (corruption reads as a miss,
+        never an error)."""
         cube = open_artifact(
             self._directory, key, mmap=mmap, appendable=appendable
         )
+        if cube is not None:
+            self._touch(key)
         _requests_counter(
             "repro_artifact_requests_total", "Finalized-cube artifact operations by outcome (hit / miss / store)"
         ).inc(outcome="hit" if cube is not None else "miss")
         return cube
+
+    def _touch(self, key: CubeKey) -> None:
+        """Mark an entry recently used, so LRU eviction keeps hot entries."""
+        try:
+            os.utime(self.path_for(key))
+        except OSError:
+            pass
 
     def _glob(self, pattern: str) -> list[Path]:
         """Directory listing that tolerates the directory vanishing.
@@ -450,11 +328,15 @@ class RollupCache:
         except OSError:
             return []
 
+    def _cube_files(self) -> list[Path]:
+        """Every cube file in the directory, retired-format ones included."""
+        return self._glob(f"*{CACHE_SUFFIX}") + self._glob(f"*{LEGACY_SUFFIX}")
+
     def _evict(self) -> None:
-        """Drop the oldest entries beyond ``max_entries`` (newest survive)."""
+        """Drop the oldest cube files beyond ``max_entries`` (newest survive)."""
         if self._max_entries is None:
             return
-        paths = self._glob(f"*{CACHE_SUFFIX}")
+        paths = self._cube_files()
         if len(paths) <= self._max_entries:
             return
         def age(path: Path) -> float:
@@ -534,16 +416,17 @@ class RollupCache:
     # Maintenance (``repro cache inspect`` / ``repro cache clear``)
     # ------------------------------------------------------------------
     def entries(self) -> list[CacheEntry]:
-        """Metadata for every entry in the cache directory (sorted by name).
+        """Metadata for every cube file in the directory (sorted by name).
 
-        Only each entry's JSON header is decompressed — the series
-        arrays stay on disk, so inspecting a multi-gigabyte cache is
-        cheap.
+        Lists each key's one file — the one :meth:`load` and
+        :meth:`load_artifact` serve.  Only the JSON header member is read,
+        so inspecting a multi-gigabyte cache is cheap.  Unreadable files
+        and entries of the retired compressed format are listed as invalid.
         """
         rows: list[CacheEntry] = []
         if not self._directory.is_dir():
             return rows
-        for path in sorted(self._glob(f"*{CACHE_SUFFIX}")):
+        for path in sorted(self._cube_files()):
             try:
                 size = path.stat().st_size
             except OSError:
@@ -551,10 +434,7 @@ class RollupCache:
                 # glob and the stat — nothing left to report.
                 continue
             try:
-                with np.load(path, allow_pickle=False) as data:
-                    header = _read_header(data)
-                if header["format"] != CACHE_FORMAT:
-                    raise ValueError("format mismatch")
+                header = read_artifact_header(path)
                 key_fields = dict(header["key"])
                 key_fields["explain_by"] = tuple(key_fields["explain_by"])
                 rows.append(
@@ -576,19 +456,17 @@ class RollupCache:
         return rows
 
     def clear(self) -> int:
-        """Delete every cache entry, finalized artifact, append log,
+        """Delete every cube file (retired-format ones too), append log,
         lattice manifest, and any orphaned temp file left by a crashed
         writer; returns the number of files removed."""
-        from repro.cube.artifact import ARTIFACT_SUFFIX
-
         removed = 0
         if not self._directory.is_dir():
             return removed
         for pattern in (
             f"*{CACHE_SUFFIX}",
             f"*{CACHE_SUFFIX}.tmp",
-            f"*{ARTIFACT_SUFFIX}",
-            f"*{ARTIFACT_SUFFIX}.tmp",
+            f"*{LEGACY_SUFFIX}",
+            f"*{LEGACY_SUFFIX}.tmp",
             f"*{LOG_SUFFIX}",
             f"*{LOG_SUFFIX}.tmp",
             f"*{MANIFEST_SUFFIX}",
@@ -601,54 +479,6 @@ class RollupCache:
                 except OSError:
                     pass
         return removed
-
-
-def _key_dict(key: CubeKey) -> dict:
-    """JSON-shaped rendering of a key (tuples become lists)."""
-    rendered = asdict(key)
-    rendered["explain_by"] = list(rendered["explain_by"])
-    return rendered
-
-
-def _python_value(value: object) -> object:
-    return value.item() if hasattr(value, "item") else value
-
-
-def _load_append_state(header: dict, data: "np.lib.npyio.NpzFile") -> CubeAppendState:
-    """Reconstruct a cube's delta ledger from a format-2 entry."""
-    meta = header["state"]
-    schema = Schema(
-        Attribute(name, AttributeKind(kind)) for name, kind in meta["schema"]
-    )
-    ledgers = []
-    for i, (attrs, values) in enumerate(zip(meta["subsets"], meta["values"])):
-        parents = np.asarray(data[f"parents{i}"], dtype=np.intp)
-        ledgers.append(
-            SubsetLedger(
-                attrs=tuple(attrs),
-                state=np.asarray(data[f"state{i}"], dtype=np.float64),
-                counts=np.asarray(data[f"counts{i}"], dtype=np.int64),
-                values=values,
-                parents=[parents[d] for d in range(parents.shape[0])],
-                redundant=np.zeros(len(values[0]) if values else 0, dtype=bool),
-            )
-        )
-    state = CubeAppendState(
-        schema=schema,
-        measure=header["measure"],
-        explain_by=tuple(header["explain_by"]),
-        time_attr=meta["time_attr"],
-        max_order=int(meta["max_order"]),
-        deduplicate=bool(meta["deduplicate"]),
-        aggregate=get_aggregate(header["aggregate"]),
-        labels=header["labels"],
-        overall=np.asarray(data["overall_state"], dtype=np.float64),
-        ledgers=ledgers,
-    )
-    # Redundancy is derived, not stored: replay the dedup rule over the
-    # loaded counts/parent maps.
-    state._recompute_redundancy()
-    return state
 
 
 # ----------------------------------------------------------------------
@@ -767,11 +597,6 @@ class AppendLog:
             # An unwritable cache directory degrades to an unlogged
             # stream, exactly like an unpersistable cube store.
             pass
-
-
-def _read_header(data: "np.lib.npyio.NpzFile") -> dict:
-    """Decode the JSON header member of an entry archive."""
-    return json.loads(bytes(data["header"].tobytes()).decode("utf-8"))
 
 
 def load_or_build(

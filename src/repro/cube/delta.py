@@ -46,6 +46,7 @@ from repro.exceptions import BackfillError, QueryError, SchemaError
 from repro.relation.aggregates import AggregateFunction
 from repro.relation.predicates import Conjunction
 from repro.relation.schema import Schema
+from repro.relation.table import factorize
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.relation.table import Relation
@@ -336,7 +337,7 @@ class CubeAppendState:
         self, time_column: np.ndarray
     ) -> tuple[np.ndarray, list[Hashable], list[int]]:
         """Positions for every delta row, extending the axis as needed."""
-        uniques, inverse = np.unique(time_column, return_inverse=True)
+        uniques, inverse = factorize(time_column)
         unique_positions = np.empty(uniques.shape[0], dtype=np.intp)
         new_labels: list[Hashable] = []
         touched: list[int] = []
@@ -357,7 +358,7 @@ class CubeAppendState:
                     f"timestamp {last!r}; appends may revisit existing "
                     "timestamps or extend the axis, never back-fill new ones"
                 )
-            # np.unique hands labels out ascending, so new ones arrive in
+            # factorize hands labels out ascending, so new ones arrive in
             # axis order.
             unique_positions[index] = next_position
             new_labels.append(label)
@@ -366,7 +367,7 @@ class CubeAppendState:
         for label in new_labels:
             self.label_pos[label] = len(self.labels)
             self.labels.append(label)
-        return unique_positions[inverse.ravel()], new_labels, sorted(touched)
+        return unique_positions[inverse], new_labels, sorted(touched)
 
     def _recompute_redundancy(self) -> None:
         if not self.deduplicate:
@@ -415,8 +416,11 @@ class CubeAppendState:
         self.overall = _grow_time(self.overall, n_times)
         self.aggregate.scatter_into(self.overall, values, positions)
 
+        # One memo for every ledger: each delta column is factorized once,
+        # and a subset extends the grouping of its prefix subset.
+        memo: dict = {}
         for ledger in self.ledgers:
-            group_ids, representatives = _group_rows(delta, ledger.attrs)
+            group_ids, representatives = _group_rows(delta, ledger.attrs, memo)
             columns = delta.columns(ledger.attrs)
             slot_of = ledger.slot_index()
             slot_map = np.empty(representatives.shape[0], dtype=np.intp)

@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.exceptions import ExplanationError
 from repro.relation.predicates import Conjunction
-from repro.relation.table import Relation
+from repro.relation.table import Relation, factorize
 
 
 @dataclass(frozen=True)
@@ -120,11 +120,14 @@ def enumerate_candidates(
     # redundant) so that higher-order conjunctions can still detect
     # redundancy through a chain of redundant intermediates.
     group_info: dict[tuple[str, ...], tuple[np.ndarray, np.ndarray]] = {}
+    # Sorted attributes make every subset's prefix an earlier subset, so
+    # the memo factorizes each column once for the whole enumeration.
+    memo: dict[tuple[str, ...], tuple[np.ndarray, int]] = {}
 
     ordered_attrs = sorted(explain_by)
     for order in range(1, max_order + 1):
         for subset in itertools.combinations(ordered_attrs, order):
-            group_ids, representatives = _group_rows(relation, subset)
+            group_ids, representatives = _group_rows(relation, subset, memo)
             n_groups = representatives.shape[0]
             counts = np.bincount(group_ids, minlength=n_groups)
             # A group is redundant when dropping one attribute lands its
@@ -177,15 +180,80 @@ def enumerate_candidates(
 
 
 def _group_rows(
-    relation: Relation, subset: tuple[str, ...]
+    relation: Relation,
+    subset: tuple[str, ...],
+    memo: dict[tuple[str, ...], tuple[np.ndarray, int]] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Dense group ids over the distinct value combinations of ``subset``.
 
     Returns ``(group_ids, representatives)`` where ``group_ids[i]`` is the
     bucket of row ``i`` and ``representatives[g]`` is the first row index
-    belonging to bucket ``g``.  Works for any column dtype (including
-    Python objects) by factorizing one column at a time and re-densifying
-    the combined key, so intermediate keys never overflow.
+    belonging to bucket ``g``.  Buckets are numbered in the lexicographic
+    order of the subset's sorted column values.  Works for any column dtype
+    (including Python objects) by factorizing one column at a time and
+    re-densifying the combined key, so intermediate keys never overflow.
+
+    ``memo`` is a per-call scratchpad shared by every subset of one
+    enumeration or one delta: it holds ``(group_ids, n_groups)`` per
+    subset already grouped, so each column is factorized once and a
+    subset extends the grouping of its prefix instead of starting over.
+    """
+    if memo is None:
+        memo = {}
+    group_ids, n_groups = _subset_ids(relation, subset, memo)
+    representatives = np.full(n_groups, relation.n_rows, dtype=np.intp)
+    np.minimum.at(
+        representatives, group_ids, np.arange(relation.n_rows, dtype=np.intp)
+    )
+    return group_ids, representatives
+
+
+def _subset_ids(
+    relation: Relation,
+    subset: tuple[str, ...],
+    memo: dict[tuple[str, ...], tuple[np.ndarray, int]],
+) -> tuple[np.ndarray, int]:
+    """``(group_ids, n_groups)`` of ``subset``, built on its memoized prefix."""
+    found = memo.get(subset)
+    if found is not None:
+        return found
+    if len(subset) == 1:
+        values, codes = factorize(relation.column(subset[0]))
+        found = (codes, int(values.shape[0]))
+    else:
+        prefix_ids, n_prefix = _subset_ids(relation, subset[:-1], memo)
+        codes, n_values = _subset_ids(relation, subset[-1:], memo)
+        found = _dense_rank(prefix_ids * n_values + codes, n_prefix * n_values)
+    memo[subset] = found
+    return found
+
+
+def _dense_rank(key: np.ndarray, bound: int) -> tuple[np.ndarray, int]:
+    """Rank of each key among the distinct keys, all keys in ``[0, bound)``.
+
+    Equal to the inverse of ``np.unique(key)``.  A key space no larger than
+    a few times the row count is ranked through a presence table (linear,
+    no sort); a sparse one falls back to ``np.unique``.
+    """
+    if bound <= 2 * key.shape[0] + 65536:
+        present = np.zeros(bound, dtype=bool)
+        present[key] = True
+        rank = np.cumsum(present, dtype=np.intp)
+        n_groups = int(rank[-1]) if bound else 0
+        rank -= 1
+        return rank[key], n_groups
+    uniques, inverse = np.unique(key, return_inverse=True)
+    return inverse.reshape(-1).astype(np.intp, copy=False), int(uniques.shape[0])
+
+
+def group_rows_reference(
+    relation: Relation, subset: tuple[str, ...]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The per-subset ``np.unique`` form of :func:`_group_rows`.
+
+    Sorts every column of ``subset`` and every combined key again for each
+    subset.  Kept as the reference the memoized grouping must match
+    byte for byte.
     """
     n_rows = relation.n_rows
     combined = np.zeros(n_rows, dtype=np.int64)

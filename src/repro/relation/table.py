@@ -35,6 +35,40 @@ def _as_column(values: Sequence[Any] | np.ndarray) -> np.ndarray:
     return array
 
 
+def factorize(column: Sequence[Any] | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted distinct values of a 1-D column and each row's rank among them.
+
+    Returns exactly what ``np.unique(column, return_inverse=True)`` returns
+    (``codes`` as a flat ``intp`` array), but object columns — the string
+    cells the CSV reader produces — take a hash-based path: one dict pass
+    in first-seen order, then a sort of only the *distinct* values, so the
+    cost is one hash per row instead of an ``O(n log n)`` comparison sort of
+    Python objects.  Values that compare equal are one group either way;
+    when they differ in type (``1`` vs ``1.0``) the first-seen one is kept
+    as the group's value.  Columns whose distinct values are not strictly
+    ordered by ``<`` (mixed types that raise, ``NaN``) and every other
+    dtype go through ``np.unique`` itself.
+    """
+    column = np.asarray(column)
+    if column.dtype.kind == "O" and column.ndim == 1:
+        try:
+            ranks = dict.fromkeys(column)
+            ordered = sorted(ranks)
+        except TypeError:
+            ordered = None
+        if ordered is not None and all(
+            left < right for left, right in zip(ordered, ordered[1:])
+        ):
+            for rank, value in enumerate(ordered):
+                ranks[value] = rank
+            codes = np.fromiter(
+                map(ranks.__getitem__, column), dtype=np.intp, count=column.shape[0]
+            )
+            return np.fromiter(ordered, dtype=object, count=len(ordered)), codes
+    uniques, codes = np.unique(column, return_inverse=True)
+    return uniques, codes.reshape(-1).astype(np.intp, copy=False)
+
+
 class Relation:
     """An immutable bag of rows stored column-wise.
 
@@ -252,8 +286,8 @@ class Relation:
         ``codes[i]`` indexes into ``unique_values`` (sorted ascending), so
         downstream group accumulation can use dense integer buckets.
         """
-        values, codes = np.unique(self.column(name), return_inverse=True)
-        return codes.astype(np.intp), values
+        values, codes = factorize(self.column(name))
+        return codes, values
 
     def time_positions(self, time_attr: str | None = None) -> tuple[np.ndarray, tuple[Hashable, ...]]:
         """Factorize the time column into positions along the sorted time axis."""

@@ -3,7 +3,7 @@
 Covers the append ledger on the cube (:mod:`repro.cube.delta`),
 ``merge_cubes``, targeted scorer-LRU invalidation in
 ``ExplainSession.append``, incremental ``SegmentationCosts.extend``, the
-format-2 cache entries with append state, chained snapshot keys with the
+cache entries with append state, chained snapshot keys with the
 append log, and the CLI ``--follow`` loop.  The end-to-end equivalence
 properties live in ``tests/test_properties.py``.
 """
@@ -313,7 +313,7 @@ class TestCostsExtend:
 
 
 # ----------------------------------------------------------------------
-# Cache format 2 + chained keys + append log
+# Cache entries with append state + chained keys + append log
 # ----------------------------------------------------------------------
 class TestDeltaCache:
     def test_appendable_cube_round_trips_with_its_ledger(self, tmp_path):

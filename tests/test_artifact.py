@@ -131,10 +131,10 @@ def test_cache_delegation_and_clear(tmp_path, cube):
     reopened = cache.load_artifact(key)
     assert reopened is not None
     assert _arrays_identical(built, reopened)
-    # Artifacts do not masquerade as cache entries...
+    # The artifact *is* the cache entry: one file per key...
     cache.store(key, built)
-    assert len(cache.entries()) == 1
-    # ...but clear() sweeps both.
+    assert [entry.path for entry in cache.entries()] == [cache.artifact_path_for(key)]
+    # ...which clear() sweeps.
     cache.clear()
     assert cache.load_artifact(key) is None
     assert cache.entries() == []

@@ -6,7 +6,13 @@ import pytest
 from repro.core.config import ExplainConfig
 from repro.core.engine import TSExplain
 from repro.core.pipeline import ExplainPipeline
-from repro.cube.cache import CACHE_SUFFIX, RollupCache, cube_key, load_or_build
+from repro.cube.cache import (
+    CACHE_SUFFIX,
+    LEGACY_SUFFIX,
+    RollupCache,
+    cube_key,
+    load_or_build,
+)
 from repro.cube.datacube import ExplanationCube
 from repro.exceptions import ConfigError
 from repro.relation.schema import AttributeKind
@@ -327,6 +333,111 @@ def test_max_entries_evicts_oldest(tmp_path):
     assert len(cache.entries()) == 2
 
 
+def _write_legacy_entry(cache: RollupCache, key, cube: ExplanationCube):
+    """An entry as the retired compressed (format-2) writer left it."""
+    import json
+    from dataclasses import asdict
+
+    header = dict(
+        format=2,
+        key={**asdict(key), "explain_by": list(key.explain_by)},
+        aggregate=cube.aggregate.name,
+        measure=cube.measure,
+        explain_by=list(cube.explain_by),
+        labels=list(cube.labels),
+        explanations=[[list(item) for item in conj.items] for conj in cube.explanations],
+        n_explanations=cube.n_explanations,
+        n_times=cube.n_times,
+    )
+    cache.directory.mkdir(parents=True, exist_ok=True)
+    path = cache.directory / f"{key.digest()}{LEGACY_SUFFIX}"
+    np.savez_compressed(
+        path,
+        header=np.frombuffer(json.dumps(header).encode("utf-8"), dtype=np.uint8),
+        overall=cube.overall_values,
+        supports=cube.supports,
+        included=cube.included_values,
+        excluded=cube.excluded_values,
+    )
+    return path
+
+
+def test_max_entries_bounds_every_cube_file(tmp_path):
+    """Eviction counts artifacts and retired entries, not one suffix."""
+    import os
+
+    cache = RollupCache(tmp_path, max_entries=2)
+    relation = regime_relation(switch=6)
+    legacy = _write_legacy_entry(
+        cache, cube_key(relation, "sales", ["cat"]), ExplanationCube(relation, ["cat"], "sales")
+    )
+    os.utime(legacy, (1, 1))
+    for index, switch in enumerate((8, 10, 12)):
+        relation = regime_relation(switch=switch)
+        key = cube_key(relation, "sales", ["cat"])
+        cube = ExplanationCube(relation, ["cat"], "sales")
+        store = cache.store_artifact if index % 2 else cache.store
+        os.utime(store(key, cube), (index + 2, index + 2))
+    survivors = sorted(p.name for p in tmp_path.iterdir())
+    assert len(survivors) == 2 and not legacy.exists()
+    assert [entry.valid for entry in cache.entries()] == [True, True]
+
+
+def test_entries_list_the_file_that_serves(cache):
+    relation = two_attr_relation()
+    key = cube_key(relation, "m", ["a", "b"])
+    path = cache.store_artifact(key, ExplanationCube(relation, ["a", "b"], "m"))
+    entries = cache.entries()
+    assert [(entry.path, entry.valid, entry.key) for entry in entries] == [(path, True, key)]
+    assert cache.load_artifact(key) is not None and cache.load(key) is not None
+
+
+def test_legacy_compressed_entry_is_a_miss_invalid_and_cleared(cache):
+    relation = regime_relation()
+    key = cube_key(relation, "sales", ["cat"])
+    cube = ExplanationCube(relation, ["cat"], "sales")
+    legacy = _write_legacy_entry(cache, key, cube)
+    assert cache.load(key) is None and cache.load_artifact(key) is None
+    assert [(entry.path, entry.valid) for entry in cache.entries()] == [(legacy, False)]
+    # The next cold build stores the current format next to it...
+    _, hit = load_or_build(cache, relation, ["cat"], "sales")
+    assert not hit and cache.load(key) is not None
+    assert sorted(entry.valid for entry in cache.entries()) == [False, True]
+    # ...and clear() sweeps both.
+    assert cache.clear() == 2
+    assert not cache.directory.exists() or list(cache.directory.iterdir()) == []
+
+
+def test_corrupt_file_is_replaced_by_the_next_cold_build(cache):
+    relation = two_attr_relation()
+    key = cube_key(relation, "m", ["a", "b"])
+    cube = ExplanationCube(relation, ["a", "b"], "m")
+    for store in (cache.store, cache.store_artifact):
+        cache.directory.mkdir(parents=True, exist_ok=True)
+        cache.path_for(key).write_bytes(b"garbage")
+        assert cache.load(key) is None and cache.load_artifact(key) is None
+        assert store(key, cube) == cache.path_for(key)
+        assert _cubes_equal(cache.load_artifact(key), cube)
+
+
+def test_store_artifact_skips_only_an_identical_file(cache, monkeypatch):
+    relation = two_attr_relation()
+    key = cube_key(relation, "m", ["a", "b"])
+    writes = []
+    savez = np.savez
+    monkeypatch.setattr(np, "savez", lambda file, **arrays: writes.append(1) or savez(file, **arrays))
+    appendable = ExplanationCube(relation, ["a", "b"], "m")
+    cache.store(key, appendable)
+    cache.store_artifact(key, appendable)
+    assert len(writes) == 1
+    # A different cube under the same key (here: without its ledger) is
+    # not the file on disk, so it is written.
+    fixed = ExplanationCube(relation, ["a", "b"], "m", appendable=False)
+    cache.store_artifact(key, fixed)
+    assert len(writes) == 2
+    assert not cache.load(key).appendable
+
+
 def test_fingerprint_framing_resists_separator_injection():
     """Cell contents containing framing bytes must not collide."""
     from tests.conftest import build_relation
@@ -457,7 +568,7 @@ def test_two_process_store_clear_race(tmp_path):
     """Two processes hammering store/load/clear/rmtree never corrupt or crash.
 
     Regression test for the cross-process hardening: stores are atomic
-    (temp file + rename) and retry once when a concurrent clear() — or an
+    (temp file + rename) and retry when a concurrent clear() — or an
     outright directory removal — yanks the cache out from under them;
     loads and entries() treat vanished files as misses, never as errors.
     """

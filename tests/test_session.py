@@ -8,6 +8,7 @@ from repro.core.engine import TSExplain
 from repro.core.pipeline import ExplainPipeline
 from repro.core.session import ExplainSession, window_relation
 from repro.core.streaming import StreamingExplainer
+from repro.cube.cache import CACHE_SUFFIX
 from repro.exceptions import ConfigError, QueryError
 from repro.relation.predicates import Conjunction
 from tests.conftest import regime_relation, two_attr_relation
@@ -221,7 +222,7 @@ class TestSessionReuse:
         session.explain(
             config=ExplainConfig(use_filter=False, k=2, cache_dir=str(tmp_path))
         )
-        assert list(tmp_path.glob("*.cube.npz"))
+        assert list(tmp_path.glob(f"*{CACHE_SUFFIX}"))
 
     def test_scorer_rejects_cube_shaping_override(self, multi_relation):
         session = ExplainSession(multi_relation, "m", ["a", "b"], k=2)

@@ -622,6 +622,40 @@ class TestSessionFromSource:
         assert rows[0]["loaded"] and rows[0]["rows"] is None  # never ingested
         assert top_k_fingerprint(warm.explain()) == top_k_fingerprint(cold.explain())
 
+    def test_cold_source_prepare_writes_one_cube_file(self, tmp_path, canonical, monkeypatch):
+        """The ingest's cache store and the registry's artifact store are one
+        file, written once; a restarted registry serves it as an artifact."""
+        from repro.cube.cache import CACHE_SUFFIX
+
+        path = tmp_path / "snap.npz"
+        write_npz(canonical, path)
+        cache_dir = tmp_path / "cache"
+        writes = []
+        savez = np.savez
+        monkeypatch.setattr(
+            np, "savez", lambda file, **arrays: writes.append(file) or savez(file, **arrays)
+        )
+
+        def registry():
+            return SessionRegistry(
+                specs=[DatasetSpec.from_source(f"npz:{path}", name="kpi")],
+                cache_dir=str(cache_dir),
+                artifacts=True,
+            )
+
+        cold = registry()
+        cold.session("kpi")
+        assert len(writes) == 1
+        assert [p.name.endswith(CACHE_SUFFIX) for p in cache_dir.iterdir()] == [True]
+        assert cold.stats()["artifact_stores"] == 1
+
+        warm = registry()
+        warm.session("kpi")
+        assert warm.stats()["artifact_hits"] == 1
+        assert warm.stats()["artifact_stores"] == 0
+        assert len(writes) == 1
+        assert len(list(cache_dir.iterdir())) == 1
+
     def test_registry_source_spec_honors_explain_by(self, tmp_path):
         relation = read_write_two_attr(tmp_path)
         path = tmp_path / "two.npz"
