@@ -24,16 +24,29 @@ solves all segments against that one (still small) DAG in a single batched
 DP.  The Eq. 12 check stays sound: the union-restricted ``Best[m']`` upper-
 bounds the per-segment restricted one, so passing the (harder) condition
 still certifies optimality; failing segments retry with a doubled prefix.
+
+Each union's DAG is derived in arrays from one
+:class:`~repro.ca.cascade.DrillDownTree` over a superset of the candidates
+(:meth:`~repro.ca.cascade.DrillDownTree.restrict`): a session passes the
+one it prepared over its cube, whose candidates every window's filtered
+list is an ordered subset of; without one the solver builds its own on
+first use.  The derived DAG numbers nodes exactly as a ``DrillDownTree``
+of the union would, so every result is the same bit for bit.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Sequence
 
 import numpy as np
 
-from repro.ca.cascade import CascadingAnalysts, DrillDownTree, TopMBatch, TopMResult
+from repro.ca.cascade import (
+    CascadingAnalysts,
+    DrillDownTree,
+    TopMBatch,
+    TopMResult,
+    check_gammas,
+)
 from repro.exceptions import ExplanationError
 from repro.relation.predicates import Conjunction
 
@@ -60,9 +73,10 @@ class GuessAndVerify:
         Explanation quota.
     initial_guess:
         Starting prefix size ``m_bar`` (paper: 30 for m=3).
-    cache_size:
-        Number of restricted drill-down DAGs memoized by candidate subset;
-        neighbouring segment batches usually share their top candidates.
+    dag:
+        A :class:`~repro.ca.cascade.DrillDownTree` whose candidates include
+        ``explanations`` in order; every restricted DAG is derived from it.
+        Defaults to one built over ``explanations`` on first use.
     """
 
     def __init__(
@@ -70,7 +84,7 @@ class GuessAndVerify:
         explanations: Sequence[Conjunction],
         m: int = 3,
         initial_guess: int = DEFAULT_INITIAL_GUESS,
-        cache_size: int = 64,
+        dag: DrillDownTree | None = None,
     ):
         if initial_guess < m:
             raise ExplanationError(
@@ -79,8 +93,9 @@ class GuessAndVerify:
         self._explanations = tuple(explanations)
         self._m = m
         self._initial_guess = initial_guess
-        self._cache: OrderedDict[tuple[int, ...], CascadingAnalysts] = OrderedDict()
-        self._cache_size = cache_size
+        self._dag = dag
+        #: positions of ``explanations`` among the DAG's candidates
+        self._positions: np.ndarray | None = None
         self._full_solver: CascadingAnalysts | None = None
         #: number of guess rounds performed across calls (telemetry/tests)
         self.iterations = 0
@@ -96,12 +111,7 @@ class GuessAndVerify:
 
     def solve_batch(self, gammas: np.ndarray) -> TopMBatch:
         """Verified-optimal top-m results for a gamma matrix."""
-        gammas = np.asarray(gammas, dtype=np.float64)
-        if gammas.ndim != 2 or gammas.shape[1] != len(self._explanations):
-            raise ExplanationError(
-                f"gamma matrix shape {gammas.shape} does not match "
-                f"{len(self._explanations)} candidates"
-            )
+        gammas = check_gammas(gammas, len(self._explanations))
         n_segments, n_candidates = gammas.shape
         results = TopMBatch.empty(n_segments, self._m)
         if n_segments == 0:
@@ -129,28 +139,28 @@ class GuessAndVerify:
         return results
 
     # ------------------------------------------------------------------
+    def _index(self) -> tuple[DrillDownTree, np.ndarray]:
+        """The DAG restrictions come from, and this solver's positions in it."""
+        if self._positions is None:
+            if self._dag is not None:
+                self._positions = self._dag.positions_of(self._explanations)
+            if self._positions is None:
+                self._dag = DrillDownTree(self._explanations)
+                self._positions = np.arange(len(self._explanations))
+        return self._dag, self._positions
+
     def _solve_full(
         self, gammas: np.ndarray, pending: np.ndarray, results: TopMBatch
     ) -> None:
         """Exact fallback over the complete candidate set."""
         if self._full_solver is None:
-            self._full_solver = CascadingAnalysts(
-                DrillDownTree(self._explanations), self._m
-            )
+            dag, positions = self._index()
+            self._full_solver = CascadingAnalysts(dag.restrict(positions), self._m)
         results.put(pending, self._full_solver.solve_batch(gammas[pending]))
 
     def _restricted_solver(self, union: np.ndarray) -> CascadingAnalysts:
-        key = tuple(int(i) for i in union)
-        solver = self._cache.get(key)
-        if solver is None:
-            tree = DrillDownTree([self._explanations[i] for i in key])
-            solver = CascadingAnalysts(tree, self._m)
-            self._cache[key] = solver
-            if len(self._cache) > self._cache_size:
-                self._cache.popitem(last=False)
-        else:
-            self._cache.move_to_end(key)
-        return solver
+        dag, positions = self._index()
+        return CascadingAnalysts(dag.restrict(positions[union]), self._m)
 
     def _verified(self, best: np.ndarray, tail: np.ndarray) -> np.ndarray:
         """Rows passing the sufficient optimality condition of Eq. 12.

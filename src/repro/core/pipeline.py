@@ -148,6 +148,7 @@ class ExplainPipeline:
         self._filtered_epsilon = 0
         self._cache_hit: bool | None = None
         self._prepare_seconds = 0.0
+        self._dag: DrillDownTree | None = None
 
     @classmethod
     def from_scorer(
@@ -157,6 +158,7 @@ class ExplainPipeline:
         epsilon: int | None = None,
         cache_hit: bool | None = None,
         prepare_seconds: float = 0.0,
+        dag: DrillDownTree | None = None,
     ) -> "ExplainPipeline":
         """A pipeline whose prepare phase is an already-derived scorer.
 
@@ -183,6 +185,10 @@ class ExplainPipeline:
             Wall-clock seconds the caller already spent building/deriving
             the scorer; seeds the result's ``precomputation`` timing so
             latency breakdowns stay truthful.
+        dag:
+            A drill-down DAG over candidates that include the scorer's in
+            order (the session's, over its prepared cube); :meth:`solver`
+            derives its DAGs from it instead of building new ones.
         """
         cube = scorer.cube
         pipeline = cls.__new__(cls)
@@ -198,6 +204,7 @@ class ExplainPipeline:
         pipeline._filtered_epsilon = cube.n_explanations
         pipeline._cache_hit = cache_hit
         pipeline._prepare_seconds = prepare_seconds
+        pipeline._dag = dag
         return pipeline
 
     @property
@@ -262,20 +269,26 @@ class ExplainPipeline:
         the solver to a restricted or smoothed cube.  This is the public
         entry point callers (engine, streaming, evaluation) should use.
 
-        Flatness is read off the candidate list, so the guess-and-verify
-        solver never builds the full drill-down DAG unless its guesses
-        fall back to it.
+        Flatness is read off the candidate list.  A pipeline seeded with
+        a session's DAG builds no DAG: both solvers derive theirs from
+        it.  Otherwise the solver builds one over the candidates
+        (guess-and-verify on its first solve).
         """
         if scorer is None:
             scorer = self.prepare()
         explanations = scorer.cube.explanations
+        m = self._config.m
         if self._config.use_guess_verify and not candidates_are_flat(explanations):
             return GuessAndVerify(
                 explanations,
-                m=self._config.m,
-                initial_guess=max(self._config.initial_guess, self._config.m),
+                m=m,
+                initial_guess=max(self._config.initial_guess, m),
+                dag=self._dag,
             )
-        return CascadingAnalysts(DrillDownTree(explanations), m=self._config.m)
+        positions = None if self._dag is None else self._dag.positions_of(explanations)
+        if positions is None:
+            return CascadingAnalysts(DrillDownTree(explanations), m=m)
+        return CascadingAnalysts(self._dag.restrict(positions), m=m)
 
     # Backwards-compatible alias for the pre-1.1 private name.
     _build_solver = solver

@@ -35,6 +35,7 @@ from typing import TYPE_CHECKING, Callable, Hashable, Sequence
 
 import numpy as np
 
+from repro.ca.cascade import DrillDownTree
 from repro.core.config import ExplainConfig
 from repro.core.pipeline import ExplainPipeline, prepare_cube
 from repro.core.recommend import AttributeScore, recommend_explain_by
@@ -195,6 +196,7 @@ class ExplainSession:
         #: key -> (scorer, bytes its derived cube owns)
         self._scorers: OrderedDict[tuple, tuple[SegmentScorer, int]] = OrderedDict()
         self._last_result: ExplainResult | None = None
+        self._dag: DrillDownTree | None = None
         # Sessions are shared across threads by the serving tier
         # (repro.serve): one reentrant lock serializes every mutation of
         # the prepared cube, the scorer LRU and the timing bookkeeping.
@@ -529,6 +531,21 @@ class ExplainSession:
         assert self._cube is not None
         return self._cube
 
+    def candidate_dag(self) -> DrillDownTree:
+        """The drill-down DAG over the prepared cube's candidates.
+
+        Built once per candidate set.  Every window's candidates are an
+        ordered subset of the cube's, so each query's solvers derive
+        their DAGs from this one
+        (:meth:`~repro.ca.cascade.DrillDownTree.restrict`) instead of
+        building their own.
+        """
+        with self._lock:
+            explanations = self.cube.explanations
+            if self._dag is None or self._dag.explanations != explanations:
+                self._dag = DrillDownTree(explanations)
+            return self._dag
+
     def series(self) -> TimeSeries:
         """The aggregated time series being explained (unsmoothed).
 
@@ -821,6 +838,7 @@ class ExplainSession:
                 epsilon=self.cube.n_explanations,
                 cache_hit=self._cache_hit,
                 prepare_seconds=build_seconds + derive_seconds,
+                dag=self.candidate_dag(),
             )
 
     def explain(

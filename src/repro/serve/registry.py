@@ -117,10 +117,11 @@ class DatasetSpec:
 def session_nbytes(session: ExplainSession) -> int:
     """Resident-size estimate of a prepared session, in bytes.
 
-    Counts the dominant arrays: the finalized series matrices plus the
-    delta ledger's aggregate states.  Derived scorer-LRU entries are
-    excluded: the registry budgets each session's LRU to this same
-    estimate when it admits the session.  The estimate drives
+    Counts the dominant arrays: the finalized series matrices, the
+    delta ledger's aggregate states and the drill-down DAG every query's
+    solvers derive from (built here if no query has yet).  Derived
+    scorer-LRU entries are excluded: the registry budgets each
+    session's LRU to this same estimate when it admits the session.  The estimate drives
     relative eviction order, not an allocator.  The detect tier's
     baseline state is counted separately (:func:`detector_nbytes`) and
     folded into the entry estimate when a detector is built.
@@ -137,7 +138,7 @@ def session_nbytes(session: ExplainSession) -> int:
         total += state.overall.nbytes
         for ledger in state.ledgers:
             total += ledger.state.nbytes + ledger.counts.nbytes
-    return total
+    return total + session.candidate_dag().nbytes
 
 
 def detector_nbytes(detector: DetectSession) -> int:

@@ -2,28 +2,34 @@
 reference that stays in the tree.
 
 * the vectorized K-segmentation DP against the one-cell-at-a-time loop;
-* batched cascading-analysts reconstruction against the scalar walk of
+* the level-batched cascading-analysts kernel against the scalar walk of
   :func:`repro.ca.bruteforce.reference_solve` (and its optimum against
-  the exhaustive :func:`~repro.ca.bruteforce.cascading_optimum`);
+  the exhaustive :func:`~repro.ca.bruteforce.cascading_optimum`), on
+  full DAGs and through guess-and-verify;
+* DAGs derived by :meth:`DrillDownTree.restrict` against a fresh
+  ``DrillDownTree`` of the same candidates;
 * the batched centroid cost against the scalar NDCG distance;
 * ``SegmentationCosts.extend`` against a fresh build.
 """
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from repro.ca.bruteforce import cascading_optimum, reference_solve
+from repro.ca.bruteforce import cascading_optimum, is_non_overlapping, reference_solve
 from repro.ca.cascade import CascadingAnalysts, DrillDownTree, candidates_are_flat
 from repro.ca.guess_verify import GuessAndVerify, ranked_prefix
 from repro.core import pipeline as pipeline_module
 from repro.core.config import ExplainConfig
 from repro.core.pipeline import ExplainPipeline
+from repro.core.session import ExplainSession
 from repro.cube.datacube import ExplanationCube
 from repro.diff.scorer import SegmentScorer
-from repro.exceptions import SegmentationError
+from repro.exceptions import ExplanationError, SegmentationError
 from repro.relation.predicates import Conjunction
 from repro.segmentation import variance
 from repro.segmentation.distance import ALLPAIR_VARIANTS, VARIANTS, explanation_distance
@@ -148,6 +154,144 @@ def test_ties_resolve_like_the_reference():
         assert batch[row] == reference_solve(candidates, gammas[row], 2)
     assert batch[0].indices == (0, 1)
     assert batch[1].indices == (0,)
+
+
+def _hierarchy(data) -> tuple[list[Conjunction], list[Conjunction]]:
+    """Every conjunction of orders 1-3 over 2-3 attributes, and a random
+    subset of it in the same order; dropped sub-conjunctions leave
+    virtual nodes behind."""
+    attributes = "ABC"[: data.draw(st.integers(2, 3), label="attributes")]
+    most = 3 if len(attributes) == 2 else 2
+    values = [data.draw(st.integers(1, most), label=f"values of {name}") for name in attributes]
+    pool = [
+        Conjunction.from_items((attributes[name], value) for name, value in zip(names, combo))
+        for order in (1, 2, 3)
+        for names in itertools.combinations(range(len(attributes)), order)
+        for combo in itertools.product(*(range(values[name]) for name in names))
+    ]
+    keep = data.draw(st.lists(st.booleans(), min_size=len(pool), max_size=len(pool)))
+    return pool, [c for c, flag in zip(pool, keep) if flag] or pool[-1:]
+
+
+def _gamma_rows(data, n_candidates: int) -> np.ndarray:
+    """Scores with many zeros and exact ties (sums of small integers are
+    exact, so every tie is real)."""
+    n_rows = data.draw(st.integers(1, 9), label="segments")
+    score = st.one_of(
+        st.just(0.0), st.integers(0, 3).map(float), st.floats(0.0, 50.0, allow_nan=False)
+    )
+    rows = data.draw(
+        st.lists(
+            st.lists(score, min_size=n_candidates, max_size=n_candidates),
+            min_size=n_rows,
+            max_size=n_rows,
+        )
+    )
+    if data.draw(st.booleans(), label="one row all tied"):
+        rows[0] = [rows[0][0]] * n_candidates
+    return np.asarray(rows, dtype=np.float64)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_level_kernel_matches_the_reference_on_hierarchies(data):
+    _, kept = _hierarchy(data)
+    candidates = data.draw(st.permutations(kept), label="candidate order")
+    assume(not candidates_are_flat(candidates))
+    m = data.draw(st.integers(1, 3), label="m")
+    gammas = _gamma_rows(data, len(candidates))
+    chunk_size = data.draw(st.sampled_from([1, 3, 5, 7, None]), label="chunk_size")
+    solver = CascadingAnalysts(DrillDownTree(candidates), m=m)
+    batch = solver.solve_batch(gammas, chunk_size=chunk_size)
+    for row in range(gammas.shape[0]):
+        assert batch[row] == reference_solve(candidates, gammas[row], m)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_guess_and_verify_doubling_and_fallback_run_the_kernel(data):
+    pool, candidates = _hierarchy(data)
+    assume(not candidates_are_flat(candidates))
+    m = data.draw(st.integers(1, 3), label="m")
+    gammas = _gamma_rows(data, len(candidates))
+    # The smallest guess doubles, and falls back to the full DAG, often.
+    batch = GuessAndVerify(candidates, m=m, initial_guess=m).solve_batch(gammas)
+    for row in range(gammas.shape[0]):
+        result = batch[row]
+        assert result.total == pytest.approx(reference_solve(candidates, gammas[row], m).total)
+        assert result.gammas == tuple(float(g) for g in gammas[row, list(result.indices)])
+        assert is_non_overlapping([candidates[i] for i in result.indices])
+    # Deriving every DAG from an index over a superset (a session's cube)
+    # changes no bit.
+    indexed = GuessAndVerify(candidates, m=m, initial_guess=m, dag=DrillDownTree(pool))
+    again = indexed.solve_batch(gammas)
+    for name in ("idx", "gamma", "valid", "best"):
+        assert getattr(again, name).tobytes() == getattr(batch, name).tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_restricted_dag_is_the_tree_of_the_union(data):
+    _, kept = _hierarchy(data)
+    candidates = data.draw(st.permutations(kept), label="candidate order")
+    members = data.draw(st.lists(st.booleans(), min_size=len(candidates), max_size=len(candidates)))
+    union = [i for i, flag in enumerate(members) if flag]
+    dag = DrillDownTree(candidates)
+    subset = [candidates[i] for i in union]
+    assert dag.positions_of(subset).tolist() == union
+    layout = dag.restrict(np.asarray(union, dtype=np.intp))
+    tree = DrillDownTree(subset)
+    assert (layout.n_nodes, layout.n_candidates) == (tree.n_nodes, tree.n_candidates)
+    assert layout.is_flat == tree.is_flat == candidates_are_flat(subset)
+    # Nodes in first appearance over each member, then its proper subsets
+    # in bitmask order, members in ascending position.
+    expected = [()]
+    for conj in subset:
+        items = conj.items
+        closure = [items] + [
+            tuple(items[k] for k in range(len(items)) if mask >> k & 1)
+            for mask in range(2 ** len(items) - 1)
+        ]
+        expected += [sub for sub in closure if sub not in expected]
+    assert tree.n_nodes == len(expected)
+    positions = {conj.items: position for position, conj in enumerate(subset)}
+    for node, items in enumerate(expected):
+        assert layout.conjunction(node).items == tree.conjunction(node).items == items
+        assert layout.candidate_of(node) == tree.candidate_of(node) == positions.get(items, -1)
+        # Kids have one item more, grouped by its attribute (by name), in
+        # node-id order.
+        groups: dict[str, list[int]] = {}
+        for kid, kid_items in enumerate(expected):
+            if len(kid_items) == len(items) + 1 and set(items) < set(kid_items):
+                (extra,) = set(kid_items) - set(items)
+                groups.setdefault(extra[0], []).append(kid)
+        children = tuple((dim, tuple(kids)) for dim, kids in sorted(groups.items()))
+        assert layout.children_of(node) == tree.children_of(node) == children
+    if len(union) >= 2:
+        assert dag.positions_of(subset[::-1]) is None
+    assert dag.positions_of([Conjunction.from_items([("Z", 0)])]) is None
+
+
+def _cascading(candidates):
+    return CascadingAnalysts(DrillDownTree(candidates), m=3)
+
+
+def _guess_and_verify(candidates):
+    return GuessAndVerify(candidates, m=3, initial_guess=3)
+
+
+@pytest.mark.parametrize("make_solver", [_cascading, _guess_and_verify])
+@pytest.mark.parametrize(
+    "bad", [-1.0, np.nan, np.inf], ids=["negative-outside-the-guess", "nan", "inf"]
+)
+def test_solvers_reject_negative_and_non_finite_gammas(make_solver, bad):
+    candidates = [conj(A=a) for a in range(3)] + [conj(B=b) for b in range(3)]
+    candidates += [conj(A=0, B=0), conj(A=1, B=2)]
+    # Ranked last, so outside guess-and-verify's initial guess of 3.
+    gamma = np.linspace(10.0, 1.0, len(candidates))
+    gamma[-1] = bad
+    with pytest.raises(ExplanationError, match="finite and non-negative"):
+        make_solver(candidates).solve_batch(gamma[None, :])
 
 
 @settings(max_examples=200, deadline=None)
@@ -307,6 +451,33 @@ def test_explain_builds_the_full_drill_down_tree_at_most_once(monkeypatch, guess
     assert rescored == [1]
     # The sketch has the scheme's variance re-scored at full resolution,
     # reusing the run's solver instead of building a second DAG.
-    # Guess-and-verify builds it lazily: its guesses cover all 11
-    # candidates here, so it falls back to the full DAG once.
+    # Guess-and-verify builds it on first use and derives every guess's
+    # DAG from it.
     assert len(full_builds) == 1
+
+
+@pytest.mark.parametrize("guess_verify", [False, True])
+def test_a_warm_session_explain_builds_no_dag_and_no_conjunction(monkeypatch, guess_verify):
+    relation = two_attr_relation(n=100)
+    # A small guess makes guess-and-verify restrict, double and fall back.
+    config = ExplainConfig.optimized(k=2, initial_guess=3).updated(use_guess_verify=guess_verify)
+    session = ExplainSession(relation, "m", ["a", "b"], config=config)
+    labels = session.series().labels
+    session.explain(labels[0], labels[60])
+    built = []
+    original_init = DrillDownTree.__init__
+
+    def counting_init(self, explanations):
+        built.append("DrillDownTree")
+        original_init(self, explanations)
+
+    original_items = Conjunction.from_sorted_items.__func__
+
+    def counting_items(cls, items):
+        built.append("Conjunction.from_sorted_items")
+        return original_items(cls, items)
+
+    monkeypatch.setattr(DrillDownTree, "__init__", counting_init)
+    monkeypatch.setattr(Conjunction, "from_sorted_items", classmethod(counting_items))
+    assert session.explain(labels[30], labels[99]).segments
+    assert built == []
